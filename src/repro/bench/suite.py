@@ -145,6 +145,33 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
                   "gated": path != "looped"},
         ))
 
+    # -- wall clock: the assembly plan (informational) ---------------------
+    # The two assembly paths every step runs (DESIGN.md §16): a serial
+    # DSS of an ne16 16-level stack, and one 4-rank halo exchange of an
+    # ne8 16-level field through SimMPI.
+    from ..homme.bndry import HaloExchanger
+    from ..mesh.partition import SFCPartition
+    from ..network.simmpi import SimMPI
+
+    rng = np.random.default_rng(11)
+    mesh16 = CubedSphereMesh(16, 4)
+    lev16 = rng.standard_normal((mesh16.nelem, 16, 4, 4))
+    secs = time_wall(lambda: mesh16.dss(lev16, gll_axis=2), repeats=repeats)
+    results.append(BenchResult(
+        name="dss.ne16", clock="wall", seconds=secs, repeats=repeats,
+        meta={"ne": 16, "nlev": 16, "kernel": "serial DSS (E, L, n, n)",
+              "gated": False},
+    ))
+    hx = HaloExchanger(mesh8, SFCPartition(8, 4))
+    lev8 = hx.scatter(rng.standard_normal((mesh8.nelem, 16, 4, 4)))
+    secs = time_wall(lambda: hx.exchange(lev8, SimMPI(4), gll_axis=2),
+                     repeats=repeats)
+    results.append(BenchResult(
+        name="exchange.prim.ne8", clock="wall", seconds=secs, repeats=repeats,
+        meta={"ne": 8, "nranks": 4, "nlev": 16,
+              "kernel": "halo exchange (E_r, L, n, n)", "gated": False},
+    ))
+
     # -- wall clock: ne8 distributed SW step, serial vs real cores ---------
     # The first section measuring the reproduction on real hardware
     # parallelism: the same distributed step, once with the per-rank

@@ -17,8 +17,15 @@ The paper redesigns this subroutine twice over (Section 7.6):
 DSS contributions really travel between ranks through
 :class:`~repro.network.simmpi.SimMPI`) with both the ``classic`` and
 ``overlap`` execution disciplines, charging pack/unpack memcpy time and
-compute time to each rank's simulated clock.  The distributed result is
-bit-identical to the serial :meth:`CubedSphereMesh.dss`.
+compute time to each rank's simulated clock.  Every exchange runs the
+static schedule of one :class:`~repro.mesh.assembly.AssemblyPlan` built
+for the partition, so a field's assembled value is fixed by the
+partition alone: classic and overlap modes agree bitwise, serial,
+parallel and pipelined drivers agree bitwise, and a one-rank partition
+reproduces the serial :meth:`CubedSphereMesh.dss` bitwise.  With more
+ranks a shared point sums per-rank partial sums instead of the serial
+point-ordered sum, so the result matches the serial DSS to roundoff
+(``atol=1e-13`` on unit-scale fields), not bitwise.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import constants as C
-from ..errors import KernelError
+from ..errors import KernelError, MeshError
+from ..mesh.assembly import AssemblyPlan
 from ..mesh.cubed_sphere import CubedSphereMesh
 from ..mesh.partition import SFCPartition
 from ..network.simmpi import SimMPI, rank_track
@@ -85,9 +93,11 @@ class ExchangeReport:
 class HaloExchanger:
     """Distributed DSS over an SFC partition.
 
-    Precomputes, per rank pair, the shared global DOF ids in a canonical
-    (sorted) order, plus the local flat indices contributing to them, so
-    an exchange is pure vectorized gather/scatter.
+    Builds the partition's :class:`~repro.mesh.assembly.AssemblyPlan`
+    once — per rank the local multiplicity classes, per rank pair the
+    shared accumulator rows in a canonical (sorted-gid) order — so an
+    exchange is pure vectorized gather/scatter with no per-call
+    connectivity work.
     """
 
     def __init__(self, mesh: CubedSphereMesh, part: SFCPartition) -> None:
@@ -96,42 +106,10 @@ class HaloExchanger:
         self.mesh = mesh
         self.part = part
         self.nranks = part.nranks
-        n = mesh.np
 
-        #: Per rank: owned element ids (curve order) and their gid block.
+        #: Per rank: owned element ids (curve order).
         self.rank_elems = [part.rank_elements(r) for r in range(self.nranks)]
-        self.rank_gids = [mesh.gid[e] for e in self.rank_elems]
-
-        # gid -> set of touching ranks.
-        gid_ranks: dict[int, set[int]] = {}
-        for r in range(self.nranks):
-            for g in np.unique(self.rank_gids[r]):
-                gid_ranks.setdefault(int(g), set()).add(r)
-
-        # Shared gid lists per ordered rank pair.
-        shared: dict[tuple[int, int], list[int]] = {}
-        for g, ranks in gid_ranks.items():
-            if len(ranks) > 1:
-                rl = sorted(ranks)
-                for a in rl:
-                    for b in rl:
-                        if a != b:
-                            shared.setdefault((a, b), []).append(g)
-        self.shared_gids = {
-            key: np.array(sorted(gs), dtype=np.int64) for key, gs in shared.items()
-        }
-        self.peers = {
-            r: sorted({b for (a, b) in self.shared_gids if a == r})
-            for r in range(self.nranks)
-        }
-
-        # Local scatter structures: for rank r, flat arrays over local GLL
-        # points of (gid, weight) and, per element, whether it is boundary.
-        self.local_flat_gid = [g.reshape(-1) for g in self.rank_gids]
-        self.local_weights = [
-            mesh.spheremp[e].reshape(-1) for e in self.rank_elems
-        ]
-        self.assembled = mesh.assembled_spheremp
+        self.plan = AssemblyPlan(mesh, self.rank_elems)
         self.boundary_elems = [part.boundary_elements(r) for r in range(self.nranks)]
         self.inner_elems = [part.inner_elements(r) for r in range(self.nranks)]
         # Mask over local elements (in rank_elems order): boundary or not.
@@ -153,17 +131,6 @@ class HaloExchanger:
 
     # -- core exchange ------------------------------------------------------------
 
-    def _local_accumulate(self, rank: int, f_flat: np.ndarray) -> dict[int, np.ndarray]:
-        """Weighted contributions acc[gid] for rank's local field values."""
-        gids = self.local_flat_gid[rank]
-        w = self.local_weights[rank]
-        vals = f_flat * w[:, None]
-        # Accumulate into a compact dict keyed by gid.
-        uniq, inv = np.unique(gids, return_inverse=True)
-        acc = np.zeros((len(uniq),) + vals.shape[1:])
-        np.add.at(acc, inv, vals)
-        return {"gids": uniq, "acc": acc}
-
     def exchange(
         self,
         local_fields: list[np.ndarray],
@@ -172,14 +139,18 @@ class HaloExchanger:
         boundary_compute: list[float] | None = None,
         inner_compute: list[float] | None = None,
         tag: int = 0,
+        gll_axis: int = 1,
     ) -> tuple[list[np.ndarray], ExchangeReport]:
         """Run one DSS exchange over all ranks.
 
         Parameters
         ----------
         local_fields:
-            Per rank, array (E_r, np, np) or (E_r, np, np, K) of the
-            element-local field to make continuous.
+            Per rank, array (E_r, *mid, np, np, *trail) of the
+            element-local field to make continuous, with the GLL axes
+            at ``gll_axis``: (E_r, np, np[, K]) by default,
+            (E_r, L, np, np) with ``gll_axis=2``.  Floating dtypes are
+            preserved (message bytes follow the dtype).
         mpi:
             The simulated communicator (nranks must match).
         mode:
@@ -205,23 +176,25 @@ class HaloExchanger:
         bc = boundary_compute or [0.0] * self.nranks
         ic = inner_compute or [0.0] * self.nranks
 
-        n = self.mesh.np
-        flats = []
+        plan = self.plan
+        shapes, points = [], []
         for r, f in enumerate(local_fields):
-            f = np.asarray(f, dtype=np.float64)
-            if f.shape[:3] != (len(self.rank_elems[r]), n, n):
-                raise KernelError(f"rank {r} field has shape {f.shape}")
-            k = int(np.prod(f.shape[3:])) if f.ndim > 3 else 1
-            flats.append(f.reshape(-1, k))
+            try:
+                points.append(plan.to_points(f, gll_axis, rank=r))
+            except MeshError as exc:
+                raise KernelError(f"rank {r} field: {exc}") from exc
+            shapes.append(np.shape(f))
 
         report = ExchangeReport(mode=mode)
         dropped0 = mpi.messages_dropped
         retrans0 = mpi.retransmissions
         tracer = mpi.tracer
+        # Pack/unpack memcpy: classic stages through the pack buffer
+        # (2 copies each way); the redesign packs and unpacks direct (1).
+        copies = 2 if mode == "classic" else 1
         accs = []
 
-        # Phase 1: compute + pack + send on every rank.
-        sends = []
+        # Phase 1: compute + local accumulate + pack + send on every rank.
         for r in range(self.nranks):
             track = rank_track(r)
             t0 = mpi.now(r)
@@ -235,26 +208,22 @@ class HaloExchanger:
                 name = "compute" if mode == "classic" else "compute.boundary"
                 tracer.span_at(track, name, t0, mpi.now(r), cat="exchange",
                                tag=tag)
-            acc = self._local_accumulate(r, flats[r])
+            acc = plan.accumulate(r, points[r])
             accs.append(acc)
-            for p in self.peers[r]:
-                sg = self.shared_gids[(r, p)]
-                idx = np.searchsorted(acc["gids"], sg)
-                payload = acc["acc"][idx]
-                # Pack memcpy: classic stages through the pack buffer.
-                pack_copies = 2 if mode == "classic" else 1
-                t_pack = pack_copies * payload.nbytes / MEMCPY_BANDWIDTH
+            for p in plan.peers[r]:
+                payload = acc[plan.rows[r][p]]
+                t_pack = copies * payload.nbytes / MEMCPY_BANDWIDTH
                 t1 = mpi.now(r)
                 mpi.compute(r, t_pack)
                 report.memcpy_seconds += t_pack
                 if tracer.enabled:
                     tracer.span_at(track, "pack", t1, mpi.now(r),
                                    cat="exchange", peer=p, tag=tag,
-                                   nbytes=payload.nbytes, copies=pack_copies)
+                                   nbytes=payload.nbytes, copies=copies)
                     tracer.span_at(track, "send", mpi.now(r), mpi.now(r),
                                    cat="exchange", peer=p, tag=tag,
                                    nbytes=payload.nbytes)
-                sends.append(mpi.isend(r, p, payload, tag=tag))
+                mpi.isend(r, p, payload, tag=tag)
 
         # Phase 2: overlap window — inner compute happens while in flight.
         if mode == "overlap":
@@ -265,33 +234,27 @@ class HaloExchanger:
                     tracer.span_at(rank_track(r), "overlap", t0, mpi.now(r),
                                    cat="exchange", tag=tag)
 
-        # Phase 3: receive, unpack, finalize.
+        # Phase 3: receive, unpack (add into the accumulator rows in
+        # peer order), scatter every row back to its points.
         outs: list[np.ndarray] = []
         for r in range(self.nranks):
             acc = accs[r]
-            for p in self.peers[r]:
-                sg = self.shared_gids[(r, p)]
+            for p in plan.peers[r]:
+                rows = plan.rows[r][p]
                 data = mpi.wait(mpi.irecv(r, p, tag=tag))
-                if data.shape[0] != len(sg):
+                if data.shape != (len(rows),) + acc.shape[1:]:
                     raise KernelError("halo message length mismatch")
-                idx = np.searchsorted(acc["gids"], sg)
-                acc["acc"][idx] += data
-                # Unpack memcpy: classic copies receive buffer -> pack
-                # buffer -> elements (2 copies); redesign goes direct (1).
-                unpack_copies = 2 if mode == "classic" else 1
-                t_unpack = unpack_copies * data.nbytes / MEMCPY_BANDWIDTH
+                acc[rows] += data
+                t_unpack = copies * data.nbytes / MEMCPY_BANDWIDTH
                 t2 = mpi.now(r)
                 mpi.compute(r, t_unpack)
                 report.memcpy_seconds += t_unpack
                 if tracer.enabled:
                     tracer.span_at(rank_track(r), "unpack", t2, mpi.now(r),
                                    cat="exchange", peer=p, tag=tag,
-                                   nbytes=data.nbytes, copies=unpack_copies)
-            # Final division by assembled weights at local points.
-            gids = self.local_flat_gid[r]
-            pos = np.searchsorted(acc["gids"], gids)
-            vals = acc["acc"][pos] / self.assembled[gids][:, None]
-            outs.append(vals.reshape(local_fields[r].shape))
+                                   nbytes=data.nbytes, copies=copies)
+            plan.scatter(r, acc, points[r])
+            outs.append(plan.from_points(points[r], shapes[r], gll_axis))
 
         report.rank_times = [mpi.now(r) for r in range(self.nranks)]
         report.comm_wait = list(mpi.comm_seconds)
@@ -333,7 +296,7 @@ class HaloExchanger:
     def gather(self, locals_: list[np.ndarray]) -> np.ndarray:
         """Reassemble per-rank locals into a global element array."""
         shape = (self.mesh.nelem,) + locals_[0].shape[1:]
-        out = np.empty(shape)
+        out = np.empty(shape, dtype=np.result_type(*locals_))
         for r, e in enumerate(self.rank_elems):
             out[e] = locals_[r]
         return out

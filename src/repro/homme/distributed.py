@@ -180,7 +180,44 @@ def _pipelined_fanout(model, task, meta_extra: dict,
     return [tuple(o) for o in outs]
 
 
-class DistributedShallowWater:
+class _RankDSS:
+    """Driver-side DSS shared by the distributed models.
+
+    Every call is one :meth:`HaloExchanger.exchange` over the model's
+    communicator, tagged by its (step, stage, slot) position, through
+    the partition's assembly plan.  The exchange returns fresh
+    C-contiguous arrays, so a stepped state has the same memory layout
+    as a restored checkpoint (bitwise restart depends on this).
+    """
+
+    def _dss(self, fields: list[np.ndarray], stage: int, slot: int,
+             gll_axis: int | None = None) -> list[np.ndarray]:
+        """DSS per-rank fields; by default their GLL axes are trailing."""
+        if gll_axis is None:
+            gll_axis = fields[0].ndim - 2
+        outs, _ = self.hx.exchange(
+            fields, self.mpi, mode=self.mode,
+            tag=exchange_tag(self.step_count, stage, slot, self._epoch),
+            gll_axis=gll_axis, boundary_compute=self._bc,
+            inner_compute=self._ic,
+        )
+        return outs
+
+    def _dss_vector(self, vs: list[np.ndarray], stage: int,
+                    slot: int) -> list[np.ndarray]:
+        """DSS per-rank contravariant (E_r, [L,] n, n, 2) vectors.
+
+        Exchanged in the frame-free Cartesian tangent form the plan
+        folds once per rank (the device of
+        :meth:`ElementGeometry.dss_vector`).
+        """
+        plan = self.hx.plan
+        ws = [plan.to_cartesian(r, v) for r, v in enumerate(vs)]
+        ws = self._dss(ws, stage, slot, gll_axis=1)
+        return [plan.from_cartesian(r, w) for r, w in enumerate(ws)]
+
+
+class DistributedShallowWater(_RankDSS):
     """Shallow-water RK3 over ``nranks`` simulated MPI ranks.
 
     ``workers > 1`` runs each rank's tendency computation on a real
@@ -260,39 +297,6 @@ class DistributedShallowWater:
             self._cost * len(self.part.inner_elements(r)) for r in range(nranks)
         ]
 
-    # -- distributed DSS ------------------------------------------------------
-
-    def _exchange(self, locals_: list[np.ndarray], stage: int,
-                  slot: int) -> list[np.ndarray]:
-        outs, _ = self.hx.exchange(
-            locals_,
-            self.mpi,
-            mode=self.mode,
-            boundary_compute=self._bc,
-            inner_compute=self._ic,
-            tag=exchange_tag(self.step_count, stage, slot, self._epoch),
-        )
-        return outs
-
-    def _dss_scalar(self, fields: list[np.ndarray], stage: int,
-                    slot: int) -> list[np.ndarray]:
-        return self._exchange(fields, stage, slot)
-
-    def _dss_vector(self, vs: list[np.ndarray], stage: int,
-                    slot: int) -> list[np.ndarray]:
-        """Vector DSS through the Cartesian tangent representation."""
-        ws = []
-        for r, v in enumerate(vs):
-            e = self.geoms[r].e_cov  # (E_r, n, n, 3, 2)
-            ws.append(self.mesh.radius * np.einsum("...xc,...c->...x", e, v))
-        ws = self._exchange(ws, stage, slot)
-        out = []
-        for r, w in enumerate(ws):
-            g = self.geoms[r]
-            cov = self.mesh.radius * np.einsum("...xc,...x->...c", g.e_cov, w)
-            out.append(np.einsum("...ij,...j->...i", g.metinv, cov))
-        return out
-
     # -- dynamics -----------------------------------------------------------------
 
     def _stage(self, bases: list[SWState], points: list[SWState], dt: float,
@@ -312,7 +316,7 @@ class DistributedShallowWater:
                  (bases[r].h, bases[r].v, points[r].h, points[r].v))
                 for r in range(self.nranks)
             ])
-        hs = self._dss_scalar([o[0] for o in outs], stage, slot=0)
+        hs = self._dss([o[0] for o in outs], stage, slot=0)
         vs = self._dss_vector([o[1] for o in outs], stage, slot=1)
         if self.tracer.enabled:
             for r in range(self.nranks):
@@ -415,7 +419,7 @@ class DistributedShallowWater:
         return float(np.sum(self.mesh.spheremp * s.h))
 
 
-class DistributedPrimitiveEquations:
+class DistributedPrimitiveEquations(_RankDSS):
     """The full prim_run distributed across simulated MPI ranks.
 
     Mirrors :class:`~repro.homme.timestep.PrimitiveEquationModel`'s RK3
@@ -502,51 +506,10 @@ class DistributedPrimitiveEquations:
         self.t = 0.0
         self.step_count = 0
         self._epoch = 0
+        # No simulated kernel cost in the exchange's overlap window.
+        self._bc = self._ic = None
         _make_engine(self, workers, validate, "dist-prim", pipeline=pipeline,
                      engine_kwargs=engine_kwargs)
-
-    # -- distributed DSS over level-carrying fields --------------------------------
-
-    def _exchange(self, locals_, stage, slot):
-        tag = exchange_tag(self.step_count, stage, slot, self._epoch)
-        outs, _ = self.hx.exchange(locals_, self.mpi, mode=self.mode, tag=tag)
-        return outs
-
-    def _dss_levels(self, fields, stage, slot):
-        """DSS (E_r, L, n, n) fields: levels move to the trailing axis.
-
-        Outputs are made contiguous so the state's memory layout — and
-        therefore every subsequent reduction's rounding — is identical
-        whether the state came from stepping or from a restored
-        checkpoint (bitwise restart depends on this).
-        """
-        moved = [np.moveaxis(f, 1, -1) for f in fields]
-        out = self._exchange(moved, stage, slot)
-        return [np.ascontiguousarray(np.moveaxis(f, -1, 1)) for f in out]
-
-    def _dss_vector_levels(self, vs, stage, slot):
-        """DSS (E_r, L, n, n, 2) contravariant fields via Cartesian form."""
-        ws = []
-        for r, v in enumerate(vs):
-            e = self.geoms[r].e_cov[:, None]  # broadcast over levels
-            w = self.mesh.radius * np.einsum("...xc,...c->...x", e, v)
-            ws.append(np.moveaxis(w, 1, -2).reshape(w.shape[0], w.shape[2], w.shape[3], -1))
-        ws = self._exchange(ws, stage, slot)
-        out = []
-        for r, w in enumerate(ws):
-            E, n = w.shape[0], w.shape[1]
-            L = w.shape[-1] // 3
-            w = np.moveaxis(w.reshape(E, n, n, L, 3), -2, 1)
-            g = self.geoms[r]
-            cov = self.mesh.radius * np.einsum(
-                "...xc,...x->...c", g.e_cov[:, None], w
-            )
-            out.append(
-                np.ascontiguousarray(
-                    np.einsum("...ij,...j->...i", g.metinv[:, None], cov)
-                )
-            )
-        return out
 
     # -- one distributed dynamics step ------------------------------------------------
 
@@ -568,9 +531,9 @@ class DistributedPrimitiveEquations:
                   points[r].v, points[r].T, points[r].dp3d))
                 for r in range(self.nranks)
             ])
-        Ts = self._dss_levels([o[1] for o in outs], stage, slot=0)
-        dps = self._dss_levels([o[2] for o in outs], stage, slot=1)
-        vs = self._dss_vector_levels([o[0] for o in outs], stage, slot=2)
+        Ts = self._dss([o[1] for o in outs], stage, slot=0)
+        dps = self._dss([o[2] for o in outs], stage, slot=1)
+        vs = self._dss_vector([o[0] for o in outs], stage, slot=2)
         if self.tracer.enabled:
             for r in range(self.nranks):
                 self.tracer.span_at(
@@ -607,16 +570,16 @@ class DistributedPrimitiveEquations:
 
         p_lapT = submit(prim_laplace_wk_task, [s.T for s in s3])
         p_lapv = submit(prim_vlaplace_task, [s.v for s in s3])
-        lap_T = self._dss_levels(outs(p_lapT), stage=5, slot=0)
+        lap_T = self._dss(outs(p_lapT), stage=5, slot=0)
         p_lapdp = submit(prim_laplace_wk_task, [s.dp3d for s in s3])
-        lap_v = self._dss_vector_levels(outs(p_lapv), stage=5, slot=1)
+        lap_v = self._dss_vector(outs(p_lapv), stage=5, slot=1)
         p_bihT = submit(prim_laplace_wk_task, lap_T)
-        lap_dp = self._dss_levels(outs(p_lapdp), stage=5, slot=2)
+        lap_dp = self._dss(outs(p_lapdp), stage=5, slot=2)
         p_bihv = submit(prim_vlaplace_task, lap_v)
-        bih_T = self._dss_levels(outs(p_bihT), stage=5, slot=3)
+        bih_T = self._dss(outs(p_bihT), stage=5, slot=3)
         p_bihdp = submit(prim_laplace_wk_task, lap_dp)
-        bih_v = self._dss_vector_levels(outs(p_bihv), stage=5, slot=4)
-        bih_dp = self._dss_levels(outs(p_bihdp), stage=5, slot=5)
+        bih_v = self._dss_vector(outs(p_bihv), stage=5, slot=4)
+        bih_dp = self._dss(outs(p_bihdp), stage=5, slot=5)
         return bih_T, bih_v, bih_dp
 
     def step(self) -> None:
@@ -643,12 +606,12 @@ class DistributedPrimitiveEquations:
                      "sdt": sdt, "path": self.exec_path}
                     for r in range(self.nranks)
                 ]
-                st1 = self._dss_levels([o[0] for o in self.engine.run(
+                st1 = self._dss([o[0] for o in self.engine.run(
                     prim_euler_stage1_task,
                     [(metas[r], (s3[r].qdp[:, q], s3[r].v))
                      for r in range(self.nranks)],
                 )], stage=4, slot=slot0)
-                st2 = self._dss_levels([o[0] for o in self.engine.run(
+                st2 = self._dss([o[0] for o in self.engine.run(
                     prim_euler_stage2_task,
                     [(metas[r], (s3[r].qdp[:, q], st1[r], s3[r].v))
                      for r in range(self.nranks)],
@@ -667,7 +630,7 @@ class DistributedPrimitiveEquations:
                     scale = np.where(after > 0, before / after, 0.0)
                 limited = [arr * np.clip(scale, 0.0, None)[None, :, None, None]
                            for arr in limited]
-                limited = self._dss_levels(limited, stage=4, slot=slot0 + 2)
+                limited = self._dss(limited, stage=4, slot=slot0 + 2)
                 for r in range(self.nranks):
                     s3[r].qdp[:, q] = limited[r]
         if self.tracer.enabled:
@@ -695,16 +658,16 @@ class DistributedPrimitiveEquations:
                 (hv_metas[r], (s3[r].T, s3[r].v, s3[r].dp3d))
                 for r in range(self.nranks)
             ])
-            lap_T = self._dss_levels([o[0] for o in lap], stage=5, slot=0)
-            lap_v = self._dss_vector_levels([o[1] for o in lap], stage=5, slot=1)
-            lap_dp = self._dss_levels([o[2] for o in lap], stage=5, slot=2)
+            lap_T = self._dss([o[0] for o in lap], stage=5, slot=0)
+            lap_v = self._dss_vector([o[1] for o in lap], stage=5, slot=1)
+            lap_dp = self._dss([o[2] for o in lap], stage=5, slot=2)
             bih = self.engine.run(prim_laplace_task, [
                 (hv_metas[r], (lap_T[r], lap_v[r], lap_dp[r]))
                 for r in range(self.nranks)
             ])
-            bih_T = self._dss_levels([o[0] for o in bih], stage=5, slot=3)
-            bih_v = self._dss_vector_levels([o[1] for o in bih], stage=5, slot=4)
-            bih_dp = self._dss_levels([o[2] for o in bih], stage=5, slot=5)
+            bih_T = self._dss([o[0] for o in bih], stage=5, slot=3)
+            bih_v = self._dss_vector([o[1] for o in bih], stage=5, slot=4)
+            bih_dp = self._dss([o[2] for o in bih], stage=5, slot=5)
         for r in range(self.nranks):
             s3[r].T = s3[r].T - dt * self.nu * bih_T[r]
             s3[r].v = s3[r].v - dt * self.nu * bih_v[r]

@@ -122,26 +122,27 @@ class ElementGeometry:
         view._views = None
         return view
 
-    def dss(self, field: np.ndarray) -> np.ndarray:
-        """Serial DSS through the full mesh (only valid for whole-mesh views)."""
+    def _require_whole_mesh(self) -> None:
         if self.nelem != self.mesh.nelem:
             raise KernelError(
                 "serial DSS requires the whole mesh; rank-local domains use "
                 "bndry_exchangev"
             )
-        # Fields arrive as (E, L, np, np[, K]); mesh.dss wants (E, np, np, K).
+
+    def dss(self, field: np.ndarray, gll_axis: int | None = None) -> np.ndarray:
+        """Serial DSS through the mesh's assembly plan (whole-mesh views).
+
+        Fields arrive as (E, np, np) or (E, L, np, np[, K]); any other
+        layout names the position of its GLL axes with ``gll_axis``
+        (e.g. 3 for a tracer stack (E, Q, L, np, np)).
+        """
+        self._require_whole_mesh()
         f = np.asarray(field)
-        if f.ndim == 3:
-            return self.mesh.dss(f)
-        if f.ndim == 4:  # (E, L, np, np) -> levels as trailing axis
-            out = self.mesh.dss(np.moveaxis(f, 1, -1))
-            return np.moveaxis(out, -1, 1)
-        if f.ndim == 5:  # (E, L, np, np, K)
-            E, L, n, _, K = f.shape
-            merged = np.moveaxis(f, 1, -2).reshape(E, n, n, L * K)
-            out = self.mesh.dss(merged).reshape(E, n, n, L, K)
-            return np.moveaxis(out, -2, 1)
-        raise KernelError(f"dss: unsupported field rank {f.ndim}")
+        if gll_axis is None:
+            if f.ndim not in (3, 4, 5):
+                raise KernelError(f"dss: unsupported field rank {f.ndim}")
+            gll_axis = 1 if f.ndim == 3 else 2
+        return self.mesh.dss(f, gll_axis)
 
     def dss_vector(self, v: np.ndarray) -> np.ndarray:
         """DSS a **contravariant vector** field (E, [L,] np, np, 2).
@@ -153,26 +154,16 @@ class ElementGeometry:
         frame-free and pole-singularity-free — DSS'd componentwise, and
         projected back via ``v^i = metinv^{ij} (e_j . w) / radius``.
         (HOMME achieves the same by exchanging lat-lon components; the
-        Cartesian form avoids the polar special cases.)
+        Cartesian form avoids the polar special cases.)  Both frames are
+        folded once into the mesh's assembly plan.
         """
+        self._require_whole_mesh()
         v = np.asarray(v)
         if v.shape[-1] != 2:
             raise KernelError("dss_vector expects trailing contravariant axis of 2")
-        has_lev = v.ndim == 5
-        e = self.e_cov  # (E, n, n, 3, 2)
-        if has_lev:
-            e_b = e[:, None]
-        elif v.ndim == 4:
-            e_b = e
-        else:
+        if v.ndim not in (4, 5):
             raise KernelError(f"dss_vector: unsupported field rank {v.ndim}")
-        w = self.radius * np.einsum("...xc,...c->...x", e_b, v)
-        # (E, n, n, 3) goes straight to the mesh; (E, L, n, n, 3) through
-        # the level-aware path.
-        w = self.mesh.dss(w) if not has_lev else self.dss(w)
-        cov = self.radius * np.einsum("...xc,...x->...c", e_b, w)
-        metinv_b = self.metinv[:, None] if has_lev else self.metinv
-        return np.einsum("...ij,...j->...i", metinv_b, cov)
+        return self.mesh.plan.dss_vector(v)
 
 
 @dataclass

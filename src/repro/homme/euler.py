@@ -50,12 +50,6 @@ def advect_qdp_all(
     return -op.divergence_sphere(flux, geom)
 
 
-def _dss_all(qdp: np.ndarray, geom: ElementGeometry) -> np.ndarray:
-    """DSS an (E, Q, L, n, n) stack by folding (Q, L) into one axis."""
-    E, Q, L, n, _ = qdp.shape
-    return geom.dss(qdp.reshape(E, Q * L, n, n)).reshape(E, Q, L, n, n)
-
-
 def limit_qdp(
     qdp: np.ndarray, geom: ElementGeometry, global_fixer: bool = True
 ) -> np.ndarray:
@@ -131,15 +125,15 @@ def euler_step(
                 return advect_qdp_all(q, v, geom)
 
         f0 = adv(qdp)
-        s1 = _dss_all(qdp + dt * f0, geom)
+        s1 = geom.dss(qdp + dt * f0, gll_axis=3)
         f1 = adv(s1)
-        s2 = _dss_all(0.5 * (qdp + s1 + dt * f1), geom)
+        s2 = geom.dss(0.5 * (qdp + s1 + dt * f1), gll_axis=3)
         if limiter:
             # The elementwise rescale breaks edge continuity; a closing
             # DSS restores it (a positive-weighted average of
             # non-negative values stays non-negative), which keeps the
             # *next* step's flux-form divergence exactly conservative.
-            return _dss_all(limit_qdp(s2, geom), geom)
+            return geom.dss(limit_qdp(s2, geom), gll_axis=3)
         return s2
     if path != "looped":
         raise KernelError(f"unknown euler path {path!r}")

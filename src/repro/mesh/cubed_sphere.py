@@ -26,6 +26,7 @@ import numpy as np
 
 from .. import constants as C
 from ..errors import MeshError
+from .assembly import AssemblyPlan
 from .gll import derivative_matrix, gll_points, gll_weights
 
 #: Face base vectors: P_f(a, b) before normalization, with a = tan(alpha),
@@ -69,7 +70,9 @@ class CubedSphereMesh:
     - ``gid`` — (nelem, np, np) global DOF ids (shared on edges/corners);
     - ``dss_weight`` — (nelem, np, np) spheremp / (assembled spheremp),
       the weights a direct stiffness summation uses to average shared
-      points conservatively.
+      points conservatively;
+    - ``plan`` — the serial :class:`~repro.mesh.assembly.AssemblyPlan`
+      every whole-mesh DSS runs through.
     """
 
     def __init__(
@@ -215,50 +218,31 @@ class CubedSphereMesh:
         mult = np.zeros(self.ngid, dtype=np.int64)
         np.add.at(mult, self.gid.reshape(-1), 1)
         self.multiplicity = mult
+        self.plan = AssemblyPlan(self)
 
     # ------------------------------------------------------------------ operations
 
-    def dss(self, field: np.ndarray) -> np.ndarray:
+    def dss(self, field: np.ndarray, gll_axis: int = 1) -> np.ndarray:
         """Direct stiffness summation: make ``field`` continuous.
 
-        ``field`` has shape (nelem, np, np) or (nelem, np, np, K); shared
-        GLL points are replaced by their spheremp-weighted average, the
-        conservative projection onto the continuous basis.
+        ``field`` has shape (nelem, *mid, np, np, *trail) with the GLL
+        axes at ``gll_axis`` and ``gll_axis + 1`` — (nelem, np, np[, K])
+        by default, (nelem, L, np, np) with ``gll_axis=2``.  Shared GLL
+        points are replaced by their spheremp-weighted average, the
+        conservative projection onto the continuous basis.  Floating
+        dtypes are preserved.
         """
-        field = np.asarray(field)
-        if field.shape[:3] != (self.nelem, self.np, self.np):
-            raise MeshError(
-                f"dss expects leading shape {(self.nelem, self.np, self.np)}, "
-                f"got {field.shape}"
-            )
-        extra = field.shape[3:]
-        flat = field.reshape(self.nelem * self.np * self.np, -1)
-        weighted = flat * self.dss_weight.reshape(-1, 1)
-        gid_flat = self.gid.reshape(-1)
-        # bincount per trailing column: much faster than np.add.at for
-        # the scatter-add this hot path is.
-        K = weighted.shape[1]
-        acc = np.empty((self.ngid, K))
-        for k in range(K):
-            acc[:, k] = np.bincount(
-                gid_flat, weights=weighted[:, k], minlength=self.ngid
-            )
-        out = acc[gid_flat]
-        return out.reshape((self.nelem, self.np, self.np) + extra)
+        return self.plan.dss(field, gll_axis)
 
     def global_integral(self, field: np.ndarray) -> float:
         """Integrate a (nelem, np, np) field over the sphere.
 
-        Shared points are weighted by spheremp/assembled so edges are not
-        double counted; equivalent to integrating the continuous field.
+        Each copy of a shared point carries its element's share of the
+        area in ``spheremp``, so for a continuous field the plain sum
+        integrates every point exactly once.
         """
         if field.shape != (self.nelem, self.np, self.np):
             raise MeshError("global_integral expects an (nelem, np, np) field")
-        w = self.spheremp * self.dss_weight  # de-duplicated area weights...
-        # NOTE: spheremp already partitions area among duplicates only after
-        # DSS weighting; for a continuous field the plain sum over spheremp
-        # integrates each shared point multiple times with its share of the
-        # area, which is exactly right.
         return float(np.sum(field * self.spheremp))
 
     def surface_area(self) -> float:

@@ -259,9 +259,13 @@ class SimMPI:
             # comm_seconds twice.
             return req.payload
         key = (req.peer, req.rank, req.tag)
+        # Tags are unique per exchange, so a drained queue is deleted:
+        # otherwise every exchange would leave a dead key behind.
         q = self._mailbox.get(key)
         if q:
             msg = q.popleft()
+            if not q:
+                del self._mailbox[key]
         else:
             lost = self._lost.get(key)
             if not lost:
@@ -269,7 +273,10 @@ class SimMPI:
                     f"rank {req.rank} waits on message from {req.peer} tag {req.tag}, "
                     "but no matching send was posted"
                 )
-            msg = self._recover(key, lost.popleft())
+            msg = lost.popleft()
+            if not lost:
+                del self._lost[key]
+            msg = self._recover(key, msg)
         clock = self._clocks[req.rank]
         t_wait = clock.now
         waited = max(0.0, msg.arrival - clock.now)
