@@ -172,6 +172,20 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
               "kernel": "halo exchange (E_r, L, n, n)", "gated": False},
     ))
 
+    # -- wall clock: vertical remap (informational) ------------------------
+    # One remap at the step benchmark's size (ne8, L16, Q4) from floated
+    # layers: one shared column search, then seven fields (DESIGN.md §17).
+    from ..homme.remap import vertical_remap
+
+    rstate, _ = _prim_state(ne=8, nlev=16, qsize=4)
+    rstate.dp3d *= 1.0 + 0.02 * rng.standard_normal(rstate.dp3d.shape)
+    secs = time_wall(lambda: vertical_remap(rstate), repeats=repeats)
+    results.append(BenchResult(
+        name="remap.ne8", clock="wall", seconds=secs, repeats=repeats,
+        meta={"ne": 8, "nlev": 16, "qsize": 4, "kernel": "vertical_remap",
+              "gated": False},
+    ))
+
     # -- wall clock: ne8 distributed SW step, serial vs real cores ---------
     # The first section measuring the reproduction on real hardware
     # parallelism: the same distributed step, once with the per-rank

@@ -21,15 +21,17 @@ Real numerics for every kernel in the paper's Table 1:
 - :mod:`~repro.homme.shallow_water` — a shallow-water mode used to
   verify the spectral operators against analytic solutions.
 
-Execution paths.  The hot path is *element-batched*: every operator in
+Execution paths.  The models run :mod:`~repro.homme.fused` by default:
+single-pass BLAS contractions against preassembled per-mesh operands.
+The readable reference is *element-batched*: every operator in
 :mod:`~repro.homme.operators` acts on whole stacked ``(nelem, np, np,
 ...)`` arrays in single numpy calls, reading precomputed per-mesh
 operator tensors cached on the geometry (:mod:`~repro.homme.tensors`,
-invalidated by metric-term fingerprint).  :mod:`~repro.homme.looped`
-is the per-element dispatch twin — one Python-level call per element,
-the analogue of the paper's coarse-grained OpenACC dispatch versus the
-Athread whole-stack execution — kept solely so the two paths can be
-cross-validated to 1e-12 and benchmarked against each other
+invalidated by metric-term fingerprint); the fused kernels are
+cross-validated against it to 1e-12.  :mod:`~repro.homme.looped` is the
+per-element dispatch twin — one Python-level call per element, the
+analogue of the paper's coarse-grained OpenACC dispatch versus the
+Athread whole-stack execution — kept as the benchmark baseline
 (``repro.bench``).  Select a path via
 :func:`repro.backends.functional_exec.homme_execution` or the
 ``exec_path`` argument of the model classes.

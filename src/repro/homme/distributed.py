@@ -72,7 +72,7 @@ def _make_engine(model, workers: int, validate: bool, label: str,
     model.workers = max(0, int(workers))
     model.validate = bool(validate)
     model.pipeline = bool(pipeline)
-    warm_fused = getattr(model, "exec_path", "batched") == "fused"
+    warm_fused = model.exec_path == "fused"
     for g in model.geoms:
         g.tensors  # noqa: B018 - warm the cache before the pool forks
         if warm_fused:
@@ -234,9 +234,9 @@ class DistributedShallowWater(_RankDSS):
     wall time changes.
 
     ``exec_path`` selects the element-local kernels each rank task runs
-    (``"batched"`` default, ``"fused"`` for the single-pass contraction
-    kernels, ``"looped"`` for the per-element baseline); the DSS
-    structure is identical across paths.
+    (``"fused"`` default — the single-pass contraction kernels —
+    ``"batched"`` for the readable reference, ``"looped"`` for the
+    per-element baseline); the DSS structure is identical across paths.
     """
 
     def __init__(
@@ -252,7 +252,7 @@ class DistributedShallowWater(_RankDSS):
         validate: bool = False,
         pipeline: bool = False,
         engine_kwargs: dict | None = None,
-        exec_path: str = "batched",
+        exec_path: str = "fused",
     ) -> None:
         from ..backends.functional_exec import homme_execution
 
@@ -443,7 +443,7 @@ class DistributedPrimitiveEquations(_RankDSS):
     both the trajectory and the simulated clocks are bitwise unchanged.
 
     ``exec_path`` selects the element-local kernels the per-rank tasks
-    run (``"batched"`` default, ``"fused"``, ``"looped"``); the
+    run (``"fused"`` default, ``"batched"``, ``"looped"``); the
     exchange/allreduce structure is identical across paths.
 
     ``combine`` selects how the tracer mass-fixer allreduces charge the
@@ -469,7 +469,7 @@ class DistributedPrimitiveEquations(_RankDSS):
         validate: bool = False,
         pipeline: bool = False,
         engine_kwargs: dict | None = None,
-        exec_path: str = "batched",
+        exec_path: str = "fused",
         combine: str = "flat",
     ) -> None:
         from ..backends.functional_exec import homme_execution

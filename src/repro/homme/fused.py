@@ -463,7 +463,9 @@ def advect_qdp_all_fused(
     out = f.da(flux)
     np.multiply(vm2[:, None], qdp, out=flux)
     out += f.db(flux)
-    out *= f.bshape(f.imdj, qdp)
+    # The level plane broadcast over the tracer axis: a cached
+    # (E, Q, L, n, n) copy would cost Q planes of memory for no speed.
+    out *= f.bshape(f.imdj, vm1)[:, None]
     np.negative(out, out=out)
     return out
 

@@ -110,9 +110,9 @@ class ShallowWaterModel:
     """SE shallow-water solver (RK3, optional hyperviscosity).
 
     ``exec_path`` selects how the element-local kernels (RHS and the
-    hyperviscosity Laplacians) are dispatched: ``"batched"`` (default,
-    whole element stack per call), ``"looped"`` (one call per element)
-    or ``"fused"`` (single-pass contractions) — see
+    hyperviscosity Laplacians) are dispatched: ``"fused"`` (default,
+    single-pass contractions), ``"batched"`` (whole element stack per
+    call, the reference) or ``"looped"`` (one call per element) — see
     :func:`repro.backends.functional_exec.homme_execution`.
     """
 
@@ -122,7 +122,7 @@ class ShallowWaterModel:
         state: SWState | None = None,
         dt: float | None = None,
         nu: float = 0.0,
-        exec_path: str = "batched",
+        exec_path: str = "fused",
     ) -> None:
         self.mesh = mesh
         self.geom = ElementGeometry(mesh)

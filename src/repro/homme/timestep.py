@@ -65,10 +65,12 @@ class PrimitiveEquationModel:
         track, with schematic sub-spans for the RK stages, tracer
         advection, hyperviscosity, and remap phases.
     exec_path:
-        Element-local kernel dispatch: ``"batched"`` (default — whole
-        element stack per kernel call, memoized operator tensors) or
+        Element-local kernel dispatch: ``"fused"`` (default — single-pass
+        contractions against preassembled per-mesh operands),
+        ``"batched"`` (whole element stack per kernel call, the readable
+        reference the others are cross-validated against) or
         ``"looped"`` (one dispatch per element, the pre-redesign
-        discipline kept for cross-validation and benchmarking).  See
+        discipline kept as the benchmark baseline).  See
         :func:`repro.backends.functional_exec.homme_execution`.
     """
 
@@ -83,7 +85,7 @@ class PrimitiveEquationModel:
         nu: float | None = None,
         phis: np.ndarray | None = None,
         tracer=None,
-        exec_path: str = "batched",
+        exec_path: str = "fused",
     ) -> None:
         self.cfg = cfg
         self.mesh = mesh if mesh is not None else CubedSphereMesh(cfg.ne, cfg.np)

@@ -12,12 +12,12 @@ Two layers live here:
    rank order.
 
 2. **Element-chunked kernels** (:class:`ParallelHommeKernels`): the
-   batched HOMME kernels of :mod:`repro.homme.operators` /
-   :mod:`repro.homme.rhs` split into contiguous element chunks, one
-   chunk per worker, concatenated back in chunk order.  Every operator
-   is element-local, so a chunk computes exactly the rows it owns and
-   the concatenation is bitwise equal to the full-stack call (asserted
-   by :func:`cross_validate_parallel`).
+   HOMME kernels of one execution path (fused by default) split into
+   contiguous element chunks, one chunk per worker, concatenated back
+   in chunk order.  Every operator is element-local, so a chunk
+   computes exactly the rows it owns and the concatenation is bitwise
+   equal to the full-stack call (asserted by
+   :func:`cross_validate_parallel`).
 
 Geometry never crosses a queue: the driver registers the per-rank (or
 per-chunk) :class:`~repro.homme.element.ElementGeometry` objects in the
@@ -72,9 +72,8 @@ def _task_geom(meta, index_key: str = "rank"):
 def _path_kernels(meta):
     """Resolve the execution path named in a task meta.
 
-    Tasks default to the batched kernels when no ``"path"`` key is
-    present, so pre-existing payloads (and the bitwise parallel==serial
-    guarantee for the default path) are unchanged.
+    Every payload the models build names its path; one without a
+    ``"path"`` key runs the batched reference kernels.
     """
     from ..backends.functional_exec import homme_execution
 
@@ -214,14 +213,14 @@ def chunk_vlaplace_task(meta, v):
 
 
 class ParallelHommeKernels:
-    """Element-chunked execution of the batched HOMME kernels.
+    """Element-chunked execution of the HOMME kernels on ``exec_path``.
 
     Splits the element stack of ``geom`` into ``workers`` contiguous
     chunks, registers per-chunk geometries, and starts (or adopts) a
     :class:`~repro.parallel.engine.ParallelEngine`.  Each kernel call
     fans the chunks out across the pool and concatenates the results in
-    chunk order — bitwise identical to the single-call batched kernel
-    because every operator is element-local.
+    chunk order — bitwise identical to the single-call kernel of the
+    same path because every operator is element-local.
 
     Use as a context manager or call :meth:`close` to stop the pool.
     """
@@ -234,7 +233,7 @@ class ParallelHommeKernels:
         tracer=None,
         engine: ParallelEngine | None = None,
         engine_kwargs: dict | None = None,
-        exec_path: str = "batched",
+        exec_path: str = "fused",
     ) -> None:
         from ..backends.functional_exec import homme_execution
         from ..homme.element import ElementGeometry
@@ -320,13 +319,13 @@ class ParallelHommeKernels:
 
 
 def parallel_homme_execution(geom, workers: int = 0, validate: bool = False,
-                             exec_path: str = "batched"):
+                             exec_path: str = "fused"):
     """A :class:`~repro.backends.functional_exec.HommeExecution`-shaped
     bundle running the selected kernels across real cores.
 
     Returns ``(execution, kernels)``; close ``kernels`` when done.
     ``exec_path`` selects the element-local kernels each chunk runs
-    (``"batched"`` default, or ``"fused"``/``"looped"``).  The tracer
+    (``"fused"`` default, or ``"batched"``/``"looped"``).  The tracer
     path follows ``exec_path`` — per-chunk tracer parallelism belongs
     to the distributed models' per-rank engine.
     """
@@ -345,8 +344,9 @@ def parallel_homme_execution(geom, workers: int = 0, validate: bool = False,
     return ex, kernels
 
 
-def cross_validate_parallel(state, geom, workers: int = 2, rtol: float = 1e-12):
-    """Run every chunked kernel against its serial batched twin.
+def cross_validate_parallel(state, geom, workers: int = 2, rtol: float = 1e-12,
+                            exec_path: str = "fused"):
+    """Run every chunked kernel against its serial twin on ``exec_path``.
 
     The ``repro.parallel`` mirror of
     :func:`repro.backends.functional_exec.cross_validate_paths`: same
@@ -354,10 +354,13 @@ def cross_validate_parallel(state, geom, workers: int = 2, rtol: float = 1e-12):
     gate — but the expectation here is stronger, and the returned
     errors are asserted to be **exactly zero** before the 1e-12 gate is
     even consulted, because chunking must not change a single bit.
+    Both sides run the same path's kernels (paths differ from each
+    other by roundoff, chunking must not).
     """
-    from ..homme import operators as _op
-    from ..homme import rhs as _rhs
-    from ..homme.shallow_water import williamson2_initial, sw_compute_rhs
+    from ..backends.functional_exec import homme_execution
+    from ..homme.shallow_water import williamson2_initial
+
+    ser = homme_execution(exec_path)
 
     def rel(a, c):
         scale = max(float(np.max(np.abs(c))), 1e-300)
@@ -365,29 +368,28 @@ def cross_validate_parallel(state, geom, workers: int = 2, rtol: float = 1e-12):
 
     errs: dict[str, float] = {}
     bitwise = True
-    with ParallelHommeKernels(geom, workers=workers) as par:
+    with ParallelHommeKernels(geom, workers=workers, exec_path=exec_path) as par:
         dv_p, dT_p, ddp_p = par.compute_rhs(state, geom)
-        dv_s, dT_s, ddp_s = _rhs.compute_rhs(state, geom)
+        dv_s, dT_s, ddp_s = ser.compute_rhs(state, geom)
+        sw = williamson2_initial(geom.mesh)
+        h, v = sw.h[geom.elem_ids], sw.v[geom.elem_ids]
+        dh_p, dvv_p = par.sw_rhs(h, v)
+        dh_s, dvv_s = ser.sw_rhs(h, v, geom)
         for name, a, c in (
             ("compute_rhs.dv", dv_p, dv_s),
             ("compute_rhs.dT", dT_p, dT_s),
             ("compute_rhs.ddp", ddp_p, ddp_s),
-            ("laplace_wk.T", par.laplace_wk(state.T), _op.laplace_sphere_wk(state.T, geom)),
-            ("vlaplace.v", par.vlaplace(state.v), _op.vlaplace_sphere(state.v, geom)),
+            ("laplace_wk.T", par.laplace_wk(state.T), ser.laplace_wk(state.T, geom)),
+            ("vlaplace.v", par.vlaplace(state.v), ser.vlaplace(state.v, geom)),
+            ("sw_rhs.dh", dh_p, dh_s),
+            ("sw_rhs.dv", dvv_p, dvv_s),
         ):
             errs[name] = rel(a, c)
             bitwise = bitwise and bool(np.array_equal(a, c))
-        sw = williamson2_initial(geom.mesh)
-        h, v = sw.h[geom.elem_ids], sw.v[geom.elem_ids]
-        dh_p, dvv_p = par.sw_rhs(h, v)
-        dh_s, dvv_s = sw_compute_rhs(h, v, geom)
-        errs["sw_rhs.dh"] = rel(dh_p, dh_s)
-        errs["sw_rhs.dv"] = rel(dvv_p, dvv_s)
-        bitwise = bitwise and np.array_equal(dh_p, dh_s) and np.array_equal(dvv_p, dvv_s)
     worst = max(errs.values())
     if not bitwise or worst > rtol:
         raise KernelError(
-            f"parallel/serial cross-validation failed: bitwise={bitwise}, "
-            f"max rel err {worst:.3e} > {rtol:.1e} ({errs})"
+            f"parallel/serial cross-validation failed ({exec_path}): "
+            f"bitwise={bitwise}, max rel err {worst:.3e} > {rtol:.1e} ({errs})"
         )
     return errs

@@ -84,6 +84,13 @@ class TestSuite:
             assert not names[f"{group}.looped"]["meta"]["gated"]
             assert f"{group}.fused_speedup" in report["derived"]
 
+    def test_remap_entry_is_informational(self, report):
+        names = {b["name"]: b for b in report["benchmarks"]}
+        remap = names["remap.ne8"]
+        assert remap["clock"] == "wall"
+        assert remap["meta"]["kernel"] == "vertical_remap"
+        assert not remap["meta"]["gated"]
+
     def test_simulated_entries_deterministic(self, report):
         again = run_suite(quick=True, repeats=1)
         sim = {b["name"]: b["seconds"] for b in report["benchmarks"]

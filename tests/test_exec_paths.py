@@ -336,3 +336,77 @@ class TestFloat32Mode:
         field = np.sin(geom.lat).astype(np.float32)
         out = laplace_sphere_wk_fused(field, geom)
         assert out.dtype == np.float32
+
+
+class TestDefaultPath:
+    """Fused is the default everywhere; the reference and baseline paths
+    stay selectable and runnable."""
+
+    MODELS = ("prim", "sw", "dist_sw", "dist_prim", "parallel_kernels")
+
+    @staticmethod
+    def _build(kind, mesh4, prim_setup, **kw):
+        from repro.homme.distributed import (
+            DistributedPrimitiveEquations,
+            DistributedShallowWater,
+        )
+        from repro.parallel import ParallelHommeKernels
+
+        cfg, geom, state = prim_setup
+        if kind == "prim":
+            return PrimitiveEquationModel(cfg, mesh=mesh4, init=state.copy(),
+                                          dt=300.0, **kw)
+        if kind == "sw":
+            return ShallowWaterModel(mesh4, **kw)
+        if kind == "dist_sw":
+            return DistributedShallowWater(mesh4, nranks=2, **kw)
+        if kind == "dist_prim":
+            return DistributedPrimitiveEquations(cfg, mesh4, state.copy(),
+                                                 nranks=2, dt=300.0, **kw)
+        return ParallelHommeKernels(geom, workers=0, **kw)
+
+    @staticmethod
+    def _path(model):
+        ex = getattr(model, "exec", None)
+        return ex.name if ex is not None else model.exec_path
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_default_is_fused(self, kind, mesh4, prim_setup):
+        model = self._build(kind, mesh4, prim_setup)
+        try:
+            assert self._path(model) == "fused"
+        finally:
+            getattr(model, "close", lambda: None)()
+
+    def test_parallel_execution_default_is_fused(self, mesh4):
+        from repro.parallel import parallel_homme_execution
+
+        ex, kernels = parallel_homme_execution(ElementGeometry(mesh4))
+        try:
+            assert kernels.exec_path == "fused"
+            assert ex.euler_path == "fused"
+        finally:
+            kernels.close()
+
+    @pytest.mark.parametrize("path", ["batched", "looped"])
+    @pytest.mark.parametrize("kind", MODELS[:4])
+    def test_other_paths_build_and_step(self, kind, path, mesh4, prim_setup):
+        model = self._build(kind, mesh4, prim_setup, exec_path=path)
+        try:
+            assert self._path(model) == path
+            model.step()
+        finally:
+            getattr(model, "close", lambda: None)()
+
+    def test_fused_euler_caches_no_tracer_plane(self, prim_setup):
+        """The tracer stage reuses the level-replicated planes; no
+        (E, Q, L, n, n) copy of a geometry plane is ever cached."""
+        _, _, state = prim_setup
+        geom = ElementGeometry(CubedSphereMesh(4, 4))
+        euler_step(state, geom, 60.0, path="fused")
+        fz = geom.tensors.fused()
+        assert fz._bcache
+        tracer_shape = state.qdp.shape[:3]
+        for _, out in fz._bcache.values():
+            assert out.ndim <= 4, out.shape
+            assert out.shape[:3] != tracer_shape

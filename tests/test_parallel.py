@@ -368,6 +368,14 @@ class TestChunkedKernels:
         errs = cross_validate_parallel(state, geom, workers=2)
         assert errs and max(errs.values()) == 0.0
 
+    @pytest.mark.parametrize("path", ["fused", "batched"])
+    def test_cross_validate_parallel_per_path(self, path):
+        """Chunks compare against the same path's serial kernels."""
+        _, _, geom, state = _noisy_prim_state()
+        errs = cross_validate_parallel(state, geom, workers=2, exec_path=path)
+        assert set(errs) >= {"compute_rhs.dT", "sw_rhs.dh", "vlaplace.v"}
+        assert max(errs.values()) == 0.0
+
     def test_parallel_homme_execution_shapes(self):
         _, _, geom, state = _noisy_prim_state()
         ex, kernels = parallel_homme_execution(geom, workers=2)
