@@ -25,11 +25,13 @@ the functional implementations of the two Sunway-specific schemes
 
 :mod:`~repro.backends.functional_exec` is the *functional* execution
 dispatch: :func:`~repro.backends.functional_exec.homme_execution`
-selects the element-batched or per-element-looped implementation of
-every dycore kernel (the repo-level analogue of the Athread-vs-OpenACC
-dispatch-granularity choice), and
+selects the fused (default: single-pass BLAS contractions),
+element-batched (the reference) or per-element-looped (the dispatch
+baseline) implementation of every dycore kernel — the repo-level
+analogue of the Athread-vs-OpenACC dispatch-granularity choice — and
 :func:`~repro.backends.functional_exec.cross_validate_paths` asserts
-the two agree to 1e-12 on the same inputs.
+the looped and fused paths agree with batched to 1e-12 on the same
+inputs.
 """
 
 from .base import KernelWorkload, KernelReport, Backend

@@ -45,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import KernelError, LDMOverflowError
+from ..homme import euler as _euler
 from ..homme import fused as _fz
 from ..homme import looped as _looped
 from ..homme import operators as _op
@@ -55,7 +56,7 @@ from ..sunway.spec import SW26010Spec, DEFAULT_SPEC
 
 
 # ---------------------------------------------------------------------------
-# Execution-path dispatch for the HOMME kernels (batched vs looped)
+# Execution-path dispatch for the HOMME kernels (batched, looped, fused)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ class HommeExecution:
     laplace_wk: Callable
     #: vector Laplacian: f(v, geom) -> v
     vlaplace: Callable
-    #: tracer path name handed to ``euler_step(..., path=...)``
-    euler_path: str
+    #: single-tracer advection tendency: f(qdp_q, v, geom) -> qdp_q
+    advect: Callable
 
 
 EXECUTION_PATHS: dict[str, HommeExecution] = {
@@ -88,7 +89,7 @@ EXECUTION_PATHS: dict[str, HommeExecution] = {
         sw_rhs=_sw.sw_compute_rhs,
         laplace_wk=_op.laplace_sphere_wk,
         vlaplace=_op.vlaplace_sphere,
-        euler_path="batched",
+        advect=_euler.advect_qdp,
     ),
     "looped": HommeExecution(
         name="looped",
@@ -96,7 +97,7 @@ EXECUTION_PATHS: dict[str, HommeExecution] = {
         sw_rhs=_looped.sw_compute_rhs_looped,
         laplace_wk=_looped.laplace_sphere_wk_looped,
         vlaplace=_looped.vlaplace_sphere_looped,
-        euler_path="looped",
+        advect=_euler.advect_qdp,
     ),
     "fused": HommeExecution(
         name="fused",
@@ -104,7 +105,7 @@ EXECUTION_PATHS: dict[str, HommeExecution] = {
         sw_rhs=_fz.sw_compute_rhs_fused,
         laplace_wk=_fz.laplace_sphere_wk_fused,
         vlaplace=_fz.vlaplace_sphere_fused,
-        euler_path="fused",
+        advect=_fz.advect_qdp_fused,
     ),
 }
 

@@ -122,6 +122,21 @@ def run_parallel_smoke(
                   1.0 if ser.max_rank_time() == par.max_rank_time() else 0.0,
                   "boolean", 0.0)
 
+        # Pipelined: split RK-stage dispatch plus the per-field
+        # hyperviscosity pipeline.
+        with DistributedPrimitiveEquations(cfg, mesh4, state, nranks=4,
+                                           dt=30.0, workers=workers,
+                                           validate=True, pipeline=True) as pip:
+            pip.run_steps(steps)
+            gq = pip.gather_state()
+            pipe_same = all(np.array_equal(getattr(gs, f), getattr(gq, f))
+                            for f in ("v", "T", "dp3d", "qdp"))
+            table.add("prim ne4 pipelined bitwise (v,T,dp3d,qdp)", 1.0,
+                      1.0 if pipe_same else 0.0, "boolean", 0.0)
+            table.add("prim ne4 pipelined simulated clocks equal", 1.0,
+                      1.0 if ser.max_rank_time() == pip.max_rank_time()
+                      else 0.0, "boolean", 0.0)
+
     if verbose:
         print(table.render())
     return table

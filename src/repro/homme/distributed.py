@@ -43,71 +43,8 @@ from ..parallel.engine import (
     unregister_context,
 )
 from .bndry import HaloExchanger, exchange_tag
-from .element import ElementGeometry
+from .element import ElementGeometry, ElementState
 from .shallow_water import SWState, williamson2_initial
-
-
-def _make_engine(model, workers: int, validate: bool, label: str,
-                 pipeline: bool = False, engine_kwargs: dict | None = None):
-    """Shared ``workers=``/``pipeline=`` plumbing for the distributed models.
-
-    Publishes **one context entry per rank shard** — rank ``r``'s
-    :class:`ElementGeometry` under ``shard_context_key(base, r)`` — in
-    the fork-inherited registry (warming the memoized tensor caches
-    first, so workers inherit them copy-on-write), then starts the pool
-    — or hands back the shared always-serial engine for ``workers <=
-    1``.  Combined with the engine's shard-affinity dispatch, a worker
-    only ever resolves (and therefore faults in) the shards pinned to
-    its slot, instead of the whole replicated geometry list the old
-    single-key layout handed every worker.  ``engine_kwargs`` passes
-    straight through to :class:`~repro.parallel.engine.ParallelEngine`
-    — the supervision, chaos, and integrity knobs of DESIGN.md §12.
-
-    ``pipeline=True`` additionally registers the *split* per-rank
-    geometries (slot ``2r`` = rank ``r``'s boundary elements, ``2r+1``
-    = its inner elements; ``None`` for an empty subset), each under its
-    own per-slot key so the pipelined fanout keeps the same one-shard-
-    per-worker ownership.
-    """
-    model.workers = max(0, int(workers))
-    model.validate = bool(validate)
-    model.pipeline = bool(pipeline)
-    warm_fused = model.exec_path == "fused"
-    for g in model.geoms:
-        g.tensors  # noqa: B018 - warm the cache before the pool forks
-        if warm_fused:
-            g.tensors.fused()
-    base = fresh_context_key(label)
-    model._ctx_key = base
-    model._shard_keys = [
-        register_context(shard_context_key(base, r), g)
-        for r, g in enumerate(model.geoms)
-    ]
-    model._pipe_shard_keys = None
-    if model.pipeline:
-        pipe_base = fresh_context_key(label + "-pipe")
-        pipe_keys: list[str] = []
-        for r in range(model.nranks):
-            els = model.part.rank_elements(r)
-            for part_i, ix in enumerate((model.hx.local_boundary_idx[r],
-                                         model.hx.local_inner_idx[r])):
-                g = None
-                if len(ix) > 0:
-                    g = ElementGeometry(model.mesh, els[ix])
-                    g.tensors  # noqa: B018 - warm before the fork
-                    if warm_fused:
-                        g.tensors.fused()
-                pipe_keys.append(register_context(
-                    shard_context_key(pipe_base, 2 * r + part_i), g
-                ))
-        model._pipe_shard_keys = pipe_keys
-    if model.workers > 1:
-        model.engine = ParallelEngine(
-            workers=model.workers, validate=model.validate,
-            tracer=model.tracer, label=label, **(engine_kwargs or {}),
-        )
-    else:
-        model.engine = SERIAL_ENGINE
 
 
 def charge_calibrated_compute(model, steps: int) -> None:
@@ -132,67 +69,199 @@ def charge_calibrated_compute(model, steps: int) -> None:
         model.mpi.compute(r, per_elem * nelem * steps)
 
 
-def _pipeline_active(model) -> bool:
-    """Pipelined dispatch is only meaningful on a live pool."""
-    return bool(model.pipeline) and model.engine.active
+class _RankModel:
+    """What the distributed models share: construction, task dispatch,
+    driver-side DSS, lifecycle and checkpointing.
 
-
-def _pipelined_fanout(model, task, meta_extra: dict,
-                      per_rank_arrays: list[tuple], nout: int) -> list[tuple]:
-    """Boundary-first split dispatch of one per-rank stage (DESIGN.md §11).
-
-    Splits every rank's element stack into its boundary and inner rows,
-    submits the boundary batch first and the inner batch immediately
-    after (into the other shared-memory bank), then collects the
-    boundary results and reassembles them **while the workers compute
-    the inner batch** — the driver-side combine of batch *k* overlapped
-    with worker compute of batch *k+1*.  Reassembly is a pure scatter
-    by precomputed indices, and every combine below (DSS, allreduce)
-    still runs on the driver in fixed rank order, so the result is
-    bitwise identical to the synchronous full-stack dispatch.
-
-    Returns one tuple of ``nout`` full per-rank arrays per rank.
+    Subclasses set :attr:`_FIELDS` (the per-rank prognostic fields, in
+    snapshot order) and :attr:`_STATE` (the state class those fields
+    build), call ``super().__init__`` first and :meth:`_start_engine`
+    last in their constructor, and keep ``step`` in their own class
+    body.
     """
-    hx = model.hx
-    pends = []
-    for part_i, idx_of in ((0, hx.local_boundary_idx),
-                           (1, hx.local_inner_idx)):
-        payloads, owners = [], []
-        for r in range(model.nranks):
-            ix = idx_of[r]
-            if len(ix) == 0:
-                continue
-            meta = {"ctx": model._pipe_shard_keys[2 * r + part_i],
-                    "rank": 2 * r + part_i, "shard": r, **meta_extra}
-            payloads.append((meta, tuple(a[ix] for a in per_rank_arrays[r])))
-            owners.append(r)
-        pends.append((model.engine.submit(task, payloads), owners, idx_of))
-    outs: list[list] = [[None] * nout for _ in range(model.nranks)]
-    for pend, owners, idx_of in pends:
-        results = pend.wait()
-        for r, res in zip(owners, results):
-            ix = idx_of[r]
-            for k in range(nout):
-                if outs[r][k] is None:
-                    shape = ((len(hx.rank_elems[r]),) + res[k].shape[1:])
-                    outs[r][k] = np.empty(shape, dtype=res[k].dtype)
-                outs[r][k][ix] = res[k]
-    return [tuple(o) for o in outs]
 
+    _FIELDS: tuple[str, ...]
+    _STATE: type
 
-class _RankDSS:
-    """Driver-side DSS shared by the distributed models.
+    def __init__(self, mesh: CubedSphereMesh, nranks: int, mode: str,
+                 exec_path: str, faults, tracer, **mpi_kwargs) -> None:
+        """Validate the options and build partition, exchanger, SimMPI
+        communicator and per-rank geometries."""
+        from ..backends.functional_exec import homme_execution
 
-    Every call is one :meth:`HaloExchanger.exchange` over the model's
-    communicator, tagged by its (step, stage, slot) position, through
-    the partition's assembly plan.  The exchange returns fresh
-    C-contiguous arrays, so a stepped state has the same memory layout
-    as a restored checkpoint (bitwise restart depends on this).
-    """
+        if mode not in ("overlap", "classic"):
+            raise KernelError(f"unknown exchange mode {mode!r}")
+        homme_execution(exec_path)  # fail fast on unknown paths
+        self.exec_path = exec_path
+        self.mesh = mesh
+        self.nranks = nranks
+        self.mode = mode
+        self.tracer = NULL_TRACER if tracer is None else tracer
+        self.part = SFCPartition(mesh.ne, nranks)
+        self.hx = HaloExchanger(mesh, self.part)
+        self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer,
+                          **mpi_kwargs)
+        self.geoms = [
+            ElementGeometry(mesh, self.part.rank_elements(r)) for r in range(nranks)
+        ]
+        self.t = 0.0
+        self.step_count = 0
+        self._epoch = 0
+
+    def _start_engine(self, workers: int, validate: bool, label: str,
+                      pipeline: bool, engine_kwargs: dict | None) -> None:
+        """Publish the shard contexts, then start the pool.
+
+        Registers **one context entry per rank shard** — rank ``r``'s
+        :class:`ElementGeometry` under ``shard_context_key(base, r)`` —
+        in the fork-inherited registry (warming the memoized tensor
+        caches first, so workers inherit them copy-on-write), then
+        starts the pool — or keeps the shared always-serial engine for
+        ``workers <= 1``.  Combined with the engine's shard-affinity
+        dispatch, a worker only ever resolves (and therefore faults in)
+        the shards pinned to its slot.  ``engine_kwargs`` passes
+        straight through to :class:`~repro.parallel.engine.ParallelEngine`
+        — the supervision, chaos, and integrity knobs of DESIGN.md §12.
+
+        ``pipeline=True`` additionally registers the *split* per-rank
+        geometries (slot ``2r`` = rank ``r``'s boundary elements,
+        ``2r+1`` = its inner elements; ``None`` for an empty subset),
+        each under its own per-slot key so the pipelined fanout keeps
+        the same one-shard-per-worker ownership.
+
+        If anything here raises, every key registered so far is dropped
+        again, so a failed construction leaves the registry unchanged.
+        """
+        self.workers = max(0, int(workers))
+        self.validate = bool(validate)
+        self.pipeline = bool(pipeline)
+        self.engine = SERIAL_ENGINE
+        self._shard_keys: list[str] = []
+        self._pipe_shard_keys: list[str] = []
+        try:
+            self._publish_contexts(label)
+            if self.workers > 1:
+                self.engine = ParallelEngine(
+                    workers=self.workers, validate=self.validate,
+                    tracer=self.tracer, label=label, **(engine_kwargs or {}),
+                )
+        except BaseException:
+            self._drop_contexts()
+            raise
+
+    def _publish_contexts(self, label: str) -> None:
+        warm_fused = self.exec_path == "fused"
+
+        def warm(g):
+            g.tensors  # noqa: B018 - warm the cache before the pool forks
+            if warm_fused:
+                g.tensors.fused()
+            return g
+
+        base = fresh_context_key(label)
+        for r, g in enumerate(self.geoms):
+            self._shard_keys.append(
+                register_context(shard_context_key(base, r), warm(g)))
+        if not self.pipeline:
+            return
+        pipe_base = fresh_context_key(label + "-pipe")
+        for r in range(self.nranks):
+            els = self.part.rank_elements(r)
+            for part_i, ix in enumerate((self.hx.local_boundary_idx[r],
+                                         self.hx.local_inner_idx[r])):
+                g = warm(ElementGeometry(self.mesh, els[ix])) if len(ix) else None
+                self._pipe_shard_keys.append(register_context(
+                    shard_context_key(pipe_base, 2 * r + part_i), g))
+
+    def _drop_contexts(self) -> None:
+        for key in self._shard_keys + self._pipe_shard_keys:
+            unregister_context(key)
+        self._shard_keys, self._pipe_shard_keys = [], []
+
+    # -- task dispatch ------------------------------------------------------------
+
+    def _meta(self, r: int, part: int | None = None, **extra) -> dict:
+        """The task meta of rank ``r`` — of its boundary (``part=0``) or
+        inner (``part=1``) subset when pipelined."""
+        if part is None:
+            ctx, slot = self._shard_keys[r], r
+        else:
+            slot = 2 * r + part
+            ctx = self._pipe_shard_keys[slot]
+        return {"ctx": ctx, "rank": slot, "shard": r, **extra,
+                "path": self.exec_path}
+
+    def _metas(self, **extra) -> list[dict]:
+        return [self._meta(r, **extra) for r in range(self.nranks)]
+
+    def _pipelined(self) -> bool:
+        """Pipelined dispatch is only meaningful on a live pool."""
+        return self.pipeline and self.engine.active
+
+    def _fanout(self, task, per_rank_arrays: list[tuple], nout: int,
+                **meta) -> list[tuple]:
+        """Run ``task`` once per rank: boundary-first split dispatch
+        when pipelined, otherwise one plain engine round."""
+        if self._pipelined():
+            return self._pipelined_fanout(task, per_rank_arrays, nout, meta)
+        metas = self._metas(**meta)
+        return self.engine.run(task, list(zip(metas, per_rank_arrays)))
+
+    def _pipelined_fanout(self, task, per_rank_arrays: list[tuple], nout: int,
+                          meta: dict) -> list[tuple]:
+        """Boundary-first split dispatch of one per-rank stage (DESIGN.md §11).
+
+        Splits every rank's element stack into its boundary and inner
+        rows, submits the boundary batch first and the inner batch
+        immediately after (into the other shared-memory bank), then
+        collects the boundary results and reassembles them **while the
+        workers compute the inner batch** — the driver-side combine of
+        batch *k* overlapped with worker compute of batch *k+1*.
+        Reassembly is a pure scatter by precomputed indices, and every
+        combine below (DSS, allreduce) still runs on the driver in fixed
+        rank order, so the result is bitwise identical to the
+        synchronous full-stack dispatch.
+
+        Returns one tuple of ``nout`` full per-rank arrays per rank.
+        """
+        hx = self.hx
+        pends = []
+        for part_i, idx_of in ((0, hx.local_boundary_idx),
+                               (1, hx.local_inner_idx)):
+            payloads, owners = [], []
+            for r in range(self.nranks):
+                ix = idx_of[r]
+                if len(ix) == 0:
+                    continue
+                payloads.append((self._meta(r, part_i, **meta),
+                                 tuple(a[ix] for a in per_rank_arrays[r])))
+                owners.append(r)
+            pends.append((self.engine.submit(task, payloads), owners, idx_of))
+        outs: list[list] = [[None] * nout for _ in range(self.nranks)]
+        for pend, owners, idx_of in pends:
+            results = pend.wait()
+            for r, res in zip(owners, results):
+                ix = idx_of[r]
+                for k in range(nout):
+                    if outs[r][k] is None:
+                        shape = ((len(hx.rank_elems[r]),) + res[k].shape[1:])
+                        outs[r][k] = np.empty(shape, dtype=res[k].dtype)
+                    outs[r][k][ix] = res[k]
+        return [tuple(o) for o in outs]
+
+    # -- driver-side DSS ------------------------------------------------------------
 
     def _dss(self, fields: list[np.ndarray], stage: int, slot: int,
              gll_axis: int | None = None) -> list[np.ndarray]:
-        """DSS per-rank fields; by default their GLL axes are trailing."""
+        """DSS per-rank fields; by default their GLL axes are trailing.
+
+        Every call is one :meth:`HaloExchanger.exchange` over the
+        model's communicator, tagged by its (step, stage, slot)
+        position, through the partition's assembly plan.  The exchange
+        returns fresh C-contiguous arrays, so a stepped state has the
+        same memory layout as a restored checkpoint (bitwise restart
+        depends on this).
+        """
         if gll_axis is None:
             gll_axis = fields[0].ndim - 2
         outs, _ = self.hx.exchange(
@@ -216,8 +285,90 @@ class _RankDSS:
         ws = self._dss(ws, stage, slot, gll_axis=1)
         return [plan.from_cartesian(r, w) for r, w in enumerate(ws)]
 
+    # -- tracing ------------------------------------------------------------------
 
-class DistributedShallowWater(_RankDSS):
+    def _clocks(self) -> list[float]:
+        return [self.mpi.now(r) for r in range(self.nranks)]
+
+    def _rank_spans(self, name: str, t0s: list[float], **args) -> None:
+        """One model span per rank track, from ``t0s`` to the rank's now."""
+        if self.tracer.enabled:
+            for r in range(self.nranks):
+                self.tracer.span_at(rank_track(r), name, t0s[r],
+                                    self.mpi.now(r), cat="model", **args)
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    def run_steps(self, n: int) -> None:
+        for _ in range(n):
+            self.step()
+
+    def close(self) -> None:
+        """Stop the worker pool (if any) and drop every shard context."""
+        if self.engine is not SERIAL_ENGINE:
+            self.engine.close()
+        self._drop_contexts()
+
+    def health(self, monitor=None):
+        """Run the health rules over the engine (DESIGN.md §13.4)."""
+        return self.engine.health(monitor)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def max_rank_time(self) -> float:
+        """Simulated completion time of the slowest rank."""
+        return self.mpi.max_time()
+
+    # -- checkpointing and gathering ------------------------------------------------
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Everything needed to continue the trajectory bitwise.
+
+        Per-rank prognostic arrays (``<field>_<rank>``) plus the scalar
+        counters (model time, step count, tag epoch).
+        """
+        snap: dict[str, np.ndarray] = {
+            "meta": np.array([self.t, self.step_count, self._epoch],
+                             dtype=np.float64)
+        }
+        for r, s in enumerate(self.states):
+            for f in self._FIELDS:
+                snap[f"{f}_{r}"] = getattr(s, f).copy()
+        return snap
+
+    def restore_snapshot(self, snap: dict[str, np.ndarray]) -> None:
+        """Reset the prognostic state from a :meth:`snapshot` dict.
+
+        The tag epoch is *not* restored — it strictly increases, and
+        pending messages are purged, so a replayed step can never match
+        stale in-flight traffic from an aborted attempt.
+        """
+        n = self.nranks
+        if any(f"{f}_{n - 1}" not in snap or f"{f}_{n}" in snap
+               for f in self._FIELDS):
+            raise KernelError("snapshot rank count does not match this model")
+        t, steps, _epoch = (float(x) for x in snap["meta"])
+        self.t = t
+        self.step_count = int(steps)
+        self._epoch += 1
+        self.mpi.purge_pending()
+        for r, s in enumerate(self.states):
+            for f in self._FIELDS:
+                setattr(s, f, snap[f"{f}_{r}"].copy())
+
+    def gather_state(self):
+        """Assemble the global state (for comparison with serial runs)."""
+        return self._STATE(**{
+            f: self.hx.gather([getattr(s, f) for s in self.states])
+            for f in self._FIELDS
+        })
+
+
+class DistributedShallowWater(_RankModel):
     """Shallow-water RK3 over ``nranks`` simulated MPI ranks.
 
     ``workers > 1`` runs each rank's tendency computation on a real
@@ -229,7 +380,7 @@ class DistributedShallowWater(_RankDSS):
 
     ``pipeline=True`` additionally splits each rank's elements into
     boundary and inner batches and overlaps the driver-side combines
-    with worker compute (:func:`_pipelined_fanout`); results stay
+    with worker compute (:meth:`_pipelined_fanout`); results stay
     bitwise identical and the simulated clocks are untouched — only
     wall time changes.
 
@@ -238,6 +389,9 @@ class DistributedShallowWater(_RankDSS):
     ``"batched"`` for the readable reference, ``"looped"`` for the
     per-element baseline); the DSS structure is identical across paths.
     """
+
+    _FIELDS = ("h", "v")
+    _STATE = SWState
 
     def __init__(
         self,
@@ -254,24 +408,7 @@ class DistributedShallowWater(_RankDSS):
         engine_kwargs: dict | None = None,
         exec_path: str = "fused",
     ) -> None:
-        from ..backends.functional_exec import homme_execution
-
-        if mode not in ("overlap", "classic"):
-            raise KernelError(f"unknown exchange mode {mode!r}")
-        homme_execution(exec_path)  # fail fast on unknown paths
-        self.exec_path = exec_path
-        self.mesh = mesh
-        self.nranks = nranks
-        self.mode = mode
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        self.part = SFCPartition(mesh.ne, nranks)
-        self.hx = HaloExchanger(mesh, self.part)
-        self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer)
-        self.geoms = [
-            ElementGeometry(mesh, self.part.rank_elements(r)) for r in range(nranks)
-        ]
-        _make_engine(self, workers, validate, "dist-sw", pipeline=pipeline,
-                     engine_kwargs=engine_kwargs)
+        super().__init__(mesh, nranks, mode, exec_path, faults, tracer)
         init = williamson2_initial(mesh)
         self.states = [
             SWState(
@@ -285,9 +422,6 @@ class DistributedShallowWater(_RankDSS):
             dx = 2 * np.pi * mesh.radius / (4 * mesh.ne * (mesh.np - 1))
             dt = 0.25 * dx / c
         self.dt = dt
-        self.t = 0.0
-        self.step_count = 0
-        self._epoch = 0
         # Simulated kernel cost attribution for the overlap window.
         self._cost = compute_cost_per_element
         self._bc = [
@@ -296,130 +430,43 @@ class DistributedShallowWater(_RankDSS):
         self._ic = [
             self._cost * len(self.part.inner_elements(r)) for r in range(nranks)
         ]
+        self._start_engine(workers, validate, "dist-sw", pipeline, engine_kwargs)
 
     # -- dynamics -----------------------------------------------------------------
 
     def _stage(self, bases: list[SWState], points: list[SWState], dt: float,
                stage: int = 0) -> list[SWState]:
-        t0s = [self.mpi.now(r) for r in range(self.nranks)]
-        if _pipeline_active(self):
-            outs = _pipelined_fanout(
-                self, sw_stage_task, {"dt": dt, "path": self.exec_path},
-                [(bases[r].h, bases[r].v, points[r].h, points[r].v)
-                 for r in range(self.nranks)],
-                nout=2,
-            )
-        else:
-            outs = self.engine.run(sw_stage_task, [
-                ({"ctx": self._shard_keys[r], "rank": r, "shard": r,
-                  "dt": dt, "path": self.exec_path},
-                 (bases[r].h, bases[r].v, points[r].h, points[r].v))
-                for r in range(self.nranks)
-            ])
+        t0s = self._clocks()
+        outs = self._fanout(
+            sw_stage_task,
+            [(bases[r].h, bases[r].v, points[r].h, points[r].v)
+             for r in range(self.nranks)],
+            nout=2, dt=dt,
+        )
         hs = self._dss([o[0] for o in outs], stage, slot=0)
         vs = self._dss_vector([o[1] for o in outs], stage, slot=1)
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "rk_stage", t0s[r], self.mpi.now(r),
-                    cat="model", stage=stage, step=self.step_count,
-                )
+        self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
         return [SWState(h=h, v=v) for h, v in zip(hs, vs)]
 
     def step(self) -> None:
         """One distributed RK3 step (three halo-exchange rounds)."""
-        t0s = [self.mpi.now(r) for r in range(self.nranks)]
+        t0s = self._clocks()
         s0 = self.states
         s1 = self._stage(s0, s0, self.dt / 3.0, stage=1)
         s2 = self._stage(s0, s1, self.dt / 2.0, stage=2)
         self.states = self._stage(s0, s2, self.dt, stage=3)
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "step", t0s[r], self.mpi.now(r),
-                    cat="model", step=self.step_count,
-                )
+        self._rank_spans("step", t0s, step=self.step_count)
         self.t += self.dt
         self.step_count += 1
 
-    def run_steps(self, n: int) -> None:
-        for _ in range(n):
-            self.step()
-
-    def close(self) -> None:
-        """Stop the worker pool (if any) and drop every shard context."""
-        if self.engine is not SERIAL_ENGINE:
-            self.engine.close()
-        for key in self._shard_keys:
-            unregister_context(key)
-        if self._pipe_shard_keys is not None:
-            for key in self._pipe_shard_keys:
-                unregister_context(key)
-
-    def health(self, monitor=None):
-        """Run the health rules over the engine (DESIGN.md §13.4)."""
-        return self.engine.health(monitor)
-
-    def __enter__(self) -> "DistributedShallowWater":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- checkpointing ------------------------------------------------------------
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Everything needed to continue the trajectory bitwise.
-
-        Per-rank prognostic arrays plus the scalar counters (model time,
-        step count, tag epoch).
-        """
-        snap: dict[str, np.ndarray] = {
-            "meta": np.array([self.t, self.step_count, self._epoch],
-                             dtype=np.float64)
-        }
-        for r, s in enumerate(self.states):
-            snap[f"h_{r}"] = s.h.copy()
-            snap[f"v_{r}"] = s.v.copy()
-        return snap
-
-    def restore_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        """Reset the prognostic state from a :meth:`snapshot` dict.
-
-        The tag epoch is *not* restored — it strictly increases so a
-        replayed step can never match a stale in-flight message from
-        the aborted attempt (which is also purged outright).
-        """
-        if f"h_{self.nranks - 1}" not in snap or f"h_{self.nranks}" in snap:
-            raise KernelError("snapshot rank count does not match this model")
-        t, steps, _epoch = (float(x) for x in snap["meta"])
-        self.t = t
-        self.step_count = int(steps)
-        self._epoch += 1
-        self.mpi.purge_pending()
-        self.states = [
-            SWState(h=snap[f"h_{r}"].copy(), v=snap[f"v_{r}"].copy())
-            for r in range(self.nranks)
-        ]
-
-    # -- gathering / diagnostics ------------------------------------------------------
-
-    def gather_state(self) -> SWState:
-        """Assemble the global state (for comparison with serial runs)."""
-        h = self.hx.gather([s.h for s in self.states])
-        v = self.hx.gather([s.v for s in self.states])
-        return SWState(h=h, v=v)
-
-    def max_rank_time(self) -> float:
-        """Simulated completion time of the slowest rank."""
-        return self.mpi.max_time()
+    # -- diagnostics ---------------------------------------------------------------
 
     def total_mass(self) -> float:
         s = self.gather_state()
         return float(np.sum(self.mesh.spheremp * s.h))
 
 
-class DistributedPrimitiveEquations(_RankDSS):
+class DistributedPrimitiveEquations(_RankModel):
     """The full prim_run distributed across simulated MPI ranks.
 
     Mirrors :class:`~repro.homme.timestep.PrimitiveEquationModel`'s RK3
@@ -437,7 +484,7 @@ class DistributedPrimitiveEquations(_RankDSS):
 
     ``pipeline=True`` (with a live pool) overlaps driver-side combines
     with worker compute: the RK stages use the boundary-first split
-    dispatch of :func:`_pipelined_fanout`, and hyperviscosity runs a
+    dispatch of :meth:`_pipelined_fanout`, and hyperviscosity runs a
     per-field depth-2 software pipeline (the DSS of field *f* overlaps
     the laplacian of field *f+1*).  DSS calls keep their slot order, so
     both the trajectory and the simulated clocks are bitwise unchanged.
@@ -454,6 +501,9 @@ class DistributedPrimitiveEquations(_RankDSS):
     — and therefore the trajectory — are bitwise identical either way;
     only the clock charging differs.
     """
+
+    _FIELDS = ("v", "T", "dp3d", "qdp")
+    _STATE = ElementState
 
     def __init__(
         self,
@@ -472,27 +522,13 @@ class DistributedPrimitiveEquations(_RankDSS):
         exec_path: str = "fused",
         combine: str = "flat",
     ) -> None:
-        from ..backends.functional_exec import homme_execution
         from ..homme.hypervis import nu_for_ne
 
-        if mode not in ("overlap", "classic"):
-            raise KernelError(f"unknown exchange mode {mode!r}")
-        homme_execution(exec_path)  # fail fast on unknown paths
-        self.exec_path = exec_path
+        super().__init__(mesh, nranks, mode, exec_path, faults, tracer,
+                         allreduce_algorithm=combine)
         self.cfg = cfg
-        self.mesh = mesh
-        self.nranks = nranks
-        self.mode = mode
         self.dt = dt
-        self.tracer = NULL_TRACER if tracer is None else tracer
         self.combine = combine
-        self.part = SFCPartition(mesh.ne, nranks)
-        self.hx = HaloExchanger(mesh, self.part)
-        self.mpi = SimMPI(nranks, faults=faults, tracer=self.tracer,
-                          allreduce_algorithm=combine)
-        self.geoms = [
-            ElementGeometry(mesh, self.part.rank_elements(r)) for r in range(nranks)
-        ]
         self.states = [
             type(init_state)(
                 v=init_state.v[self.part.rank_elements(r)].copy(),
@@ -503,43 +539,26 @@ class DistributedPrimitiveEquations(_RankDSS):
             for r in range(nranks)
         ]
         self.nu = nu_for_ne(cfg.ne)
-        self.t = 0.0
-        self.step_count = 0
-        self._epoch = 0
         # No simulated kernel cost in the exchange's overlap window.
         self._bc = self._ic = None
-        _make_engine(self, workers, validate, "dist-prim", pipeline=pipeline,
-                     engine_kwargs=engine_kwargs)
+        self._start_engine(workers, validate, "dist-prim", pipeline,
+                           engine_kwargs)
 
     # -- one distributed dynamics step ------------------------------------------------
 
     def _rk_stage(self, bases, points, dt, stage=0):
-        t0s = [self.mpi.now(r) for r in range(self.nranks)]
-        if _pipeline_active(self):
-            outs = _pipelined_fanout(
-                self, prim_stage_task, {"dt": dt, "path": self.exec_path},
-                [(bases[r].v, bases[r].T, bases[r].dp3d,
-                  points[r].v, points[r].T, points[r].dp3d)
-                 for r in range(self.nranks)],
-                nout=3,
-            )
-        else:
-            outs = self.engine.run(prim_stage_task, [
-                ({"ctx": self._shard_keys[r], "rank": r, "shard": r,
-                  "dt": dt, "path": self.exec_path},
-                 (bases[r].v, bases[r].T, bases[r].dp3d,
-                  points[r].v, points[r].T, points[r].dp3d))
-                for r in range(self.nranks)
-            ])
+        t0s = self._clocks()
+        outs = self._fanout(
+            prim_stage_task,
+            [(bases[r].v, bases[r].T, bases[r].dp3d,
+              points[r].v, points[r].T, points[r].dp3d)
+             for r in range(self.nranks)],
+            nout=3, dt=dt,
+        )
         Ts = self._dss([o[1] for o in outs], stage, slot=0)
         dps = self._dss([o[2] for o in outs], stage, slot=1)
         vs = self._dss_vector([o[0] for o in outs], stage, slot=2)
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "rk_stage", t0s[r], self.mpi.now(r),
-                    cat="model", stage=stage, step=self.step_count,
-                )
+        self._rank_spans("rk_stage", t0s, stage=stage, step=self.step_count)
         out = []
         for r in range(self.nranks):
             s = bases[r].copy()
@@ -587,25 +606,20 @@ class DistributedPrimitiveEquations(_RankDSS):
         from .timestep import RSPLIT
 
         dt = self.dt
-        step_t0s = [self.mpi.now(r) for r in range(self.nranks)]
+        step_t0s = self._clocks()
         s0 = self.states
         s1 = self._rk_stage(s0, s0, dt / 3.0, stage=1)
         s2 = self._rk_stage(s0, s1, dt / 2.0, stage=2)
         s3 = self._rk_stage(s0, s2, dt, stage=3)
 
         # Tracer advection: subcycled SSP-RK2, distributed DSS per stage.
-        euler_t0s = [self.mpi.now(r) for r in range(self.nranks)]
+        euler_t0s = self._clocks()
         sub = self.cfg.tracer_subcycles
-        sdt = dt / sub
+        metas = self._metas(sdt=dt / sub)
         for sub_i in range(sub):
             for q in range(self.cfg.qsize):
                 # Three exchanges per (subcycle, tracer): st1, st2, limited.
                 slot0 = 3 * (sub_i * self.cfg.qsize + q)
-                metas = [
-                    {"ctx": self._shard_keys[r], "rank": r, "shard": r,
-                     "sdt": sdt, "path": self.exec_path}
-                    for r in range(self.nranks)
-                ]
                 st1 = self._dss([o[0] for o in self.engine.run(
                     prim_euler_stage1_task,
                     [(metas[r], (s3[r].qdp[:, q], s3[r].v))
@@ -633,25 +647,16 @@ class DistributedPrimitiveEquations(_RankDSS):
                 limited = self._dss(limited, stage=4, slot=slot0 + 2)
                 for r in range(self.nranks):
                     s3[r].qdp[:, q] = limited[r]
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "euler_step", euler_t0s[r], self.mpi.now(r),
-                    cat="model", step=self.step_count,
-                )
+        self._rank_spans("euler_step", euler_t0s, step=self.step_count)
 
         # Hyperviscosity (single subcycle configuration assumed small dt).
         # Each biharmonic round is one pool dispatch computing all three
         # field laplacians per rank; the DSS rounds between them stay on
         # the driver.  (Values are unchanged from the per-field form —
         # each field's laplacian/DSS chain is independent.)
-        hv_t0s = [self.mpi.now(r) for r in range(self.nranks)]
-        hv_metas = [
-            {"ctx": self._shard_keys[r], "rank": r, "shard": r,
-             "path": self.exec_path}
-            for r in range(self.nranks)
-        ]
-        if _pipeline_active(self):
+        hv_t0s = self._clocks()
+        hv_metas = self._metas()
+        if self._pipelined():
             bih_T, bih_v, bih_dp = self._hypervis_pipelined(s3, hv_metas)
         else:
             lap = self.engine.run(prim_laplace_task, [
@@ -672,12 +677,7 @@ class DistributedPrimitiveEquations(_RankDSS):
             s3[r].T = s3[r].T - dt * self.nu * bih_T[r]
             s3[r].v = s3[r].v - dt * self.nu * bih_v[r]
             s3[r].dp3d = s3[r].dp3d - dt * self.nu * bih_dp[r]
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "hypervis", hv_t0s[r], self.mpi.now(r),
-                    cat="model", step=self.step_count,
-                )
+        self._rank_spans("hypervis", hv_t0s, step=self.step_count)
 
         self.step_count += 1
         if self.step_count % RSPLIT == 0:
@@ -691,81 +691,4 @@ class DistributedPrimitiveEquations(_RankDSS):
                     )
         self.t += dt
         self.states = s3
-        if self.tracer.enabled:
-            for r in range(self.nranks):
-                self.tracer.span_at(
-                    rank_track(r), "step", step_t0s[r], self.mpi.now(r),
-                    cat="model", step=self.step_count - 1,
-                )
-
-    def run_steps(self, n: int) -> None:
-        for _ in range(n):
-            self.step()
-
-    def close(self) -> None:
-        """Stop the worker pool (if any) and drop every shard context."""
-        if self.engine is not SERIAL_ENGINE:
-            self.engine.close()
-        for key in self._shard_keys:
-            unregister_context(key)
-        if self._pipe_shard_keys is not None:
-            for key in self._pipe_shard_keys:
-                unregister_context(key)
-
-    def health(self, monitor=None):
-        """Run the health rules over the engine (DESIGN.md §13.4)."""
-        return self.engine.health(monitor)
-
-    def __enter__(self) -> "DistributedPrimitiveEquations":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- checkpointing ------------------------------------------------------------
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Everything needed to continue the trajectory bitwise."""
-        snap: dict[str, np.ndarray] = {
-            "meta": np.array([self.t, self.step_count, self._epoch],
-                             dtype=np.float64)
-        }
-        for r, s in enumerate(self.states):
-            snap[f"v_{r}"] = s.v.copy()
-            snap[f"T_{r}"] = s.T.copy()
-            snap[f"dp3d_{r}"] = s.dp3d.copy()
-            snap[f"qdp_{r}"] = s.qdp.copy()
-        return snap
-
-    def restore_snapshot(self, snap: dict[str, np.ndarray]) -> None:
-        """Reset the prognostic state from a :meth:`snapshot` dict.
-
-        The tag epoch strictly increases (never restored) and pending
-        messages are purged, so a replayed step cannot match stale
-        in-flight traffic from an aborted attempt.
-        """
-        if f"T_{self.nranks - 1}" not in snap or f"T_{self.nranks}" in snap:
-            raise KernelError("snapshot rank count does not match this model")
-        t, steps, _epoch = (float(x) for x in snap["meta"])
-        self.t = t
-        self.step_count = int(steps)
-        self._epoch += 1
-        self.mpi.purge_pending()
-        for r, s in enumerate(self.states):
-            s.v = snap[f"v_{r}"].copy()
-            s.T = snap[f"T_{r}"].copy()
-            s.dp3d = snap[f"dp3d_{r}"].copy()
-            s.qdp = snap[f"qdp_{r}"].copy()
-
-    def gather_state(self):
-        from .element import ElementState
-
-        return ElementState(
-            v=self.hx.gather([s.v for s in self.states]),
-            T=self.hx.gather([s.T for s in self.states]),
-            dp3d=self.hx.gather([s.dp3d for s in self.states]),
-            qdp=self.hx.gather([s.qdp for s in self.states]),
-        )
-
-    def max_rank_time(self) -> float:
-        return self.mpi.max_time()
+        self._rank_spans("step", step_t0s, step=self.step_count - 1)

@@ -136,7 +136,7 @@ class PrimitiveEquationModel:
         # Tracer advection on the updated winds (3 subcycles).
         s3.qdp = euler_step_subcycled(
             s3, geom, dt, subcycles=self.cfg.tracer_subcycles,
-            path=ex.euler_path,
+            path=ex.name,
         )
 
         if self.hypervis:

@@ -58,6 +58,7 @@ class TestDispatch:
         assert set(EXECUTION_PATHS) == {"batched", "looped", "fused"}
         for ex in EXECUTION_PATHS.values():
             assert callable(ex.compute_rhs) and callable(ex.sw_rhs)
+            assert callable(ex.advect)
 
     def test_unknown_path_rejected(self):
         with pytest.raises(KernelError, match="unknown execution path"):
@@ -342,7 +343,7 @@ class TestDefaultPath:
     """Fused is the default everywhere; the reference and baseline paths
     stay selectable and runnable."""
 
-    MODELS = ("prim", "sw", "dist_sw", "dist_prim", "parallel_kernels")
+    MODELS = ("prim", "sw", "dist_sw", "dist_prim")
 
     @staticmethod
     def _build(kind, mesh4, prim_setup, **kw):
@@ -350,9 +351,8 @@ class TestDefaultPath:
             DistributedPrimitiveEquations,
             DistributedShallowWater,
         )
-        from repro.parallel import ParallelHommeKernels
 
-        cfg, geom, state = prim_setup
+        cfg, _, state = prim_setup
         if kind == "prim":
             return PrimitiveEquationModel(cfg, mesh=mesh4, init=state.copy(),
                                           dt=300.0, **kw)
@@ -360,10 +360,8 @@ class TestDefaultPath:
             return ShallowWaterModel(mesh4, **kw)
         if kind == "dist_sw":
             return DistributedShallowWater(mesh4, nranks=2, **kw)
-        if kind == "dist_prim":
-            return DistributedPrimitiveEquations(cfg, mesh4, state.copy(),
-                                                 nranks=2, dt=300.0, **kw)
-        return ParallelHommeKernels(geom, workers=0, **kw)
+        return DistributedPrimitiveEquations(cfg, mesh4, state.copy(),
+                                             nranks=2, dt=300.0, **kw)
 
     @staticmethod
     def _path(model):
@@ -378,18 +376,8 @@ class TestDefaultPath:
         finally:
             getattr(model, "close", lambda: None)()
 
-    def test_parallel_execution_default_is_fused(self, mesh4):
-        from repro.parallel import parallel_homme_execution
-
-        ex, kernels = parallel_homme_execution(ElementGeometry(mesh4))
-        try:
-            assert kernels.exec_path == "fused"
-            assert ex.euler_path == "fused"
-        finally:
-            kernels.close()
-
     @pytest.mark.parametrize("path", ["batched", "looped"])
-    @pytest.mark.parametrize("kind", MODELS[:4])
+    @pytest.mark.parametrize("kind", MODELS)
     def test_other_paths_build_and_step(self, kind, path, mesh4, prim_setup):
         model = self._build(kind, mesh4, prim_setup, exec_path=path)
         try:

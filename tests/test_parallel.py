@@ -1,10 +1,11 @@
 """Tests for ``repro.parallel``: the real multi-core execution engine.
 
 The contract under test (DESIGN.md §10): workers compute independent
-units, every combine happens on the driver in fixed rank/chunk order,
+units, every combine happens on the driver in fixed rank order,
 and therefore parallel execution is **bitwise identical** to serial —
-on the engine's raw task interface, on the chunked HOMME kernels, and
-on whole distributed-model trajectories.
+on the engine's raw task interface and on whole distributed-model
+trajectories; the element-locality it rests on is pinned on the
+kernels themselves.
 """
 
 import numpy as np
@@ -25,8 +26,6 @@ from repro.parallel import (
     ParallelError,
     available_cores,
     context_nbytes,
-    cross_validate_parallel,
-    parallel_homme_execution,
     register_context,
     unregister_context,
     worker_track,
@@ -362,32 +361,64 @@ class TestBoundaryInnerSplit:
             assert np.array_equal(out, f)
 
 
-class TestChunkedKernels:
-    def test_cross_validate_parallel_is_bitwise(self):
-        _, _, geom, state = _noisy_prim_state()
-        errs = cross_validate_parallel(state, geom, workers=2)
-        assert errs and max(errs.values()) == 0.0
+class TestElementLocality:
+    """Pipelined dispatch computes each rank's boundary and inner
+    elements as separate stacks (DESIGN.md §11.3), which is bitwise
+    only because every kernel is element-local.  Pinned here on the
+    kernels themselves, without an engine."""
+
+    @staticmethod
+    def _kernels(ex, state, els, h, v, geom):
+        state = ElementState(v=state.v[els], T=state.T[els],
+                             dp3d=state.dp3d[els], qdp=state.qdp[els])
+        dv, dT, ddp = ex.compute_rhs(state, geom)
+        dh, dvv = ex.sw_rhs(h, v, geom)
+        return {
+            "compute_rhs.dv": dv, "compute_rhs.dT": dT,
+            "compute_rhs.ddp": ddp, "sw_rhs.dh": dh, "sw_rhs.dv": dvv,
+            "laplace_wk.T": ex.laplace_wk(state.T, geom),
+            "vlaplace.v": ex.vlaplace(state.v, geom),
+        }
 
     @pytest.mark.parametrize("path", ["fused", "batched"])
-    def test_cross_validate_parallel_per_path(self, path):
-        """Chunks compare against the same path's serial kernels."""
-        _, _, geom, state = _noisy_prim_state()
-        errs = cross_validate_parallel(state, geom, workers=2, exec_path=path)
-        assert set(errs) >= {"compute_rhs.dT", "sw_rhs.dh", "vlaplace.v"}
-        assert max(errs.values()) == 0.0
+    def test_rank_subsets_match_rank_stack_bitwise(self, path):
+        from repro.backends.functional_exec import homme_execution
+        from repro.homme.bndry import HaloExchanger
+        from repro.homme.shallow_water import williamson2_initial
+        from repro.mesh.partition import SFCPartition
 
-    def test_parallel_homme_execution_shapes(self):
-        _, _, geom, state = _noisy_prim_state()
-        ex, kernels = parallel_homme_execution(geom, workers=2)
+        _, mesh, _, state = _noisy_prim_state()
+        sw = williamson2_initial(mesh)
+        ex = homme_execution(path)
+        part = SFCPartition(mesh.ne, 4)
+        hx = HaloExchanger(mesh, part)
+        subsets = 0
+        for r in range(part.nranks):
+            els = part.rank_elements(r)
+            full = self._kernels(ex, state, els, sw.h[els], sw.v[els],
+                                 ElementGeometry(mesh, els))
+            for ix in (hx.local_boundary_idx[r], hx.local_inner_idx[r]):
+                if len(ix) == 0:
+                    continue
+                sub_els = els[ix]
+                sub = self._kernels(ex, state, sub_els, sw.h[sub_els],
+                                    sw.v[sub_els], ElementGeometry(mesh, sub_els))
+                for name, rows in sub.items():
+                    assert np.array_equal(rows, full[name][ix]), (r, name)
+                subsets += 1
+        assert subsets > part.nranks  # some rank has both subsets
+
+    def test_task_meta_without_path_raises(self):
+        from repro.parallel.dycore import prim_laplace_wk_task
+
+        geom = ElementGeometry(CubedSphereMesh(2, 4), np.arange(2))
+        key = register_context("test-ctx/no-path", geom)
         try:
-            dv, dT, ddp = ex.compute_rhs(state, geom)
-            assert dv.shape == state.v.shape
-            assert dT.shape == state.T.shape
-            assert ddp.shape == state.dp3d.shape
-            lap = ex.laplace_wk(state.T, geom)
-            assert lap.shape == state.T.shape
+            with pytest.raises(KernelError, match="no execution path"):
+                prim_laplace_wk_task({"ctx": key, "rank": 0, "shard": 0},
+                                     np.zeros((2, 4, 4)))
         finally:
-            kernels.close()
+            unregister_context(key)
 
 
 class TestDistributedBitwise:
@@ -638,20 +669,24 @@ class TestShardedContexts:
         finally:
             model.close()
 
-    def test_task_geom_resolves_shard_and_legacy_list(self):
-        from repro.parallel.dycore import _task_geom
+    @pytest.mark.parametrize("model", ["sw", "sw-pipe", "prim"])
+    def test_failed_construction_leaves_registry_unchanged(self, model):
+        """An engine that fails to start unregisters every shard (and
+        pipelined split) context the model published before it."""
+        from repro.parallel.engine import _CONTEXT
 
-        items = ["a", "b", "c"]
-        key_list = register_context("test-ctx/legacy-list", items)
-        key_item = register_context("test-ctx/shard-item", "solo")
-        try:
-            assert _task_geom({"ctx": key_list, "rank": 1}) == "b"
-            assert _task_geom({"ctx": key_list, "chunk": 2},
-                              index_key="chunk") == "c"
-            assert _task_geom({"ctx": key_item, "rank": 0}) == "solo"
-        finally:
-            unregister_context(key_list)
-            unregister_context(key_item)
+        before = set(_CONTEXT)
+        mesh = CubedSphereMesh(4, 4)
+        bad = {"workers": 2, "engine_kwargs": {"bogus": 1}}
+        with pytest.raises(TypeError):
+            if model == "prim":
+                cfg, _, _, state = _noisy_prim_state()
+                DistributedPrimitiveEquations(cfg, mesh, state, nranks=2,
+                                              dt=300.0, **bad)
+            else:
+                DistributedShallowWater(mesh, nranks=2,
+                                        pipeline=model == "sw-pipe", **bad)
+        assert set(_CONTEXT) == before
 
     def test_context_nbytes_counts_arrays_once(self):
         arr = np.zeros(128)
